@@ -6,10 +6,9 @@
 //! [`DeltaBatch`] (dirty-cluster re-mining + [`giant_ontology::OntologyDelta`]
 //! application), freezes the updated live ontology into an
 //! [`giant_ontology::OntologySnapshot`], refreshes the serving metadata
-//! from the fold's mining product, publishes the new frame, and prunes the
-//! frame history down to a bounded depth through
-//! [`OntologyService::retain_last`] — all while readers keep answering
-//! lock-free from whatever frame they hold.
+//! from the fold's mining product, and publishes the new frame — all while
+//! readers keep answering from whatever frame they hold (the superseded
+//! frame is freed when the last of them lets go).
 //!
 //! **Sharded folding** needs no driver knob: build the
 //! [`IncrementalState`] with `GiantConfig::shards = K` and every ingest
@@ -255,8 +254,6 @@ pub struct IngestReport {
     pub fold_secs: f64,
     /// Freeze + metadata refresh + publish wall clock.
     pub publish_secs: f64,
-    /// Frames retained after pruning.
-    pub retained_frames: usize,
     /// WAL append wall clock, when durability is enabled.
     pub wal_secs: Option<f64>,
     /// Checkpoint wall clock, when this ingest checkpointed (legacy
@@ -332,7 +329,6 @@ impl From<FoldError> for IngestError {
 pub struct IncrementalDriver {
     state: IncrementalState,
     service: Arc<OntologyService>,
-    keep_frames: usize,
     checkpoint_path: Option<PathBuf>,
     durability: Option<Durability>,
     schema: Option<Arc<Schema>>,
@@ -349,15 +345,14 @@ impl IncrementalDriver {
     /// the first frame's resources from the bootstrap product (taking the
     /// trained model handles from `base`), and publishes version 1.
     ///
-    /// `keep_frames` bounds the service's frame history: after every
-    /// publish the driver retains at most the newest `keep_frames` frames
-    /// (in-flight readers keep older frames alive through their own
-    /// `Arc`s, so pruning never invalidates an answer mid-request).
+    /// `_keep_frames` is an unused shim (the service keeps no frame
+    /// history): the next `benchmark` PR drops the argument at its call
+    /// sites, then it goes from here, `restore` and `restore_durable`.
     pub fn bootstrap(
         mut state: IncrementalState,
         base: ServeResources,
         initial: DeltaBatch,
-        keep_frames: usize,
+        _keep_frames: usize,
     ) -> Result<(Self, IngestReport), FoldError> {
         let report = state.fold(initial)?;
         let publish_span = giant_obs::span("ingest.publish");
@@ -368,7 +363,6 @@ impl IncrementalDriver {
         let driver = Self {
             state,
             service,
-            keep_frames: keep_frames.max(1),
             checkpoint_path: None,
             durability: None,
             schema: None,
@@ -380,7 +374,6 @@ impl IncrementalDriver {
             clusters_reused: report.cache.clusters_reused,
             fold_secs: report.secs,
             publish_secs,
-            retained_frames: driver.service.n_retained(),
             wal_secs: None,
             checkpoint_secs: None,
             rejections: Vec::new(),
@@ -510,7 +503,6 @@ impl IncrementalDriver {
         let resources = refresh_resources(&self.service.resources(), &report.output);
         let snapshot = OntologySnapshot::freeze(self.state.ontology());
         let version = self.service.publish(snapshot, resources);
-        let retained_frames = self.service.retain_last(self.keep_frames);
         let publish_secs = publish_span.finish_secs();
         let m = giant_obs::registry();
         m.counter("ingest.batches").inc();
@@ -522,7 +514,6 @@ impl IncrementalDriver {
             clusters_reused: report.cache.clusters_reused,
             fold_secs: report.secs,
             publish_secs,
-            retained_frames,
             wal_secs,
             checkpoint_secs: None,
             rejections,
@@ -620,7 +611,7 @@ impl IncrementalDriver {
         path: &Path,
         annotator: Annotator,
         models: GiantModels,
-        keep_frames: usize,
+        _keep_frames: usize, // unused shim, see `bootstrap`
     ) -> Result<Self, FileError> {
         let file = SectionFile::read_file(path)?;
         let state = Checkpoint::from_sections(&file)?.restore(annotator, models);
@@ -628,7 +619,6 @@ impl IncrementalDriver {
         Ok(Self {
             state,
             service: Arc::new(service),
-            keep_frames: keep_frames.max(1),
             checkpoint_path: Some(path.to_path_buf()),
             durability: None,
             schema: None,
@@ -649,7 +639,7 @@ impl IncrementalDriver {
         cfg: DurabilityConfig,
         annotator: Annotator,
         models: GiantModels,
-        keep_frames: usize,
+        _keep_frames: usize, // unused shim, see `bootstrap`
     ) -> Result<(Self, RestoreReport), RestoreError> {
         let _restore_span = giant_obs::span("restore");
         let file = SectionFile::read_file(&cfg.checkpoint_path())?;
@@ -668,7 +658,6 @@ impl IncrementalDriver {
         let mut driver = Self {
             state,
             service: Arc::new(service),
-            keep_frames: keep_frames.max(1),
             checkpoint_path: None,
             durability: Some(Durability {
                 cfg,
@@ -709,7 +698,6 @@ impl IncrementalDriver {
         let resources = refresh_resources(&self.service.resources(), &report.output);
         let snapshot = OntologySnapshot::freeze(self.state.ontology());
         self.service.publish(snapshot, resources);
-        self.service.retain_last(self.keep_frames);
         Ok(())
     }
 

@@ -15,6 +15,8 @@
 //!   snapshots behind one typed request/response API, every app above
 //!   reachable through `ServeRequest`.
 
+#![forbid(unsafe_code)]
+
 pub(crate) mod ckpt;
 pub mod duet;
 pub mod incremental;

@@ -10,6 +10,8 @@
 //! to build training candidates); this crate re-exports it alongside the
 //! other baselines so the benchmark harness has one import surface.
 
+#![forbid(unsafe_code)]
+
 pub mod autophrase;
 pub mod eval;
 pub mod lstm_tagger;

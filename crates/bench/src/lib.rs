@@ -5,6 +5,8 @@
 //! (synthetic world → datasets → trained models → pipeline output) and the
 //! evaluation drivers used by those binaries and by the criterion benches.
 
+#![forbid(unsafe_code)]
+
 pub mod experiment;
 pub mod golden;
 pub mod methods;

@@ -19,6 +19,8 @@
 //! * [`train`] — dataset-to-model training helpers.
 //! * [`pipeline`] — Algorithm 1 + §3.2 end to end: [`run_pipeline`].
 
+#![forbid(unsafe_code)]
+
 pub mod align;
 pub mod bootstrap;
 pub mod cache;

@@ -22,7 +22,8 @@
 //! the schema-level nodes and exact for the instance-level ones.
 
 use crate::pipeline::{DocRecord, PipelineInput};
-use giant_graph::shard::{fnv1a64, partition, ShardPlan};
+use giant_graph::shard::{partition, ShardPlan};
+use giant_text::fnv1a64;
 use std::collections::HashMap;
 
 /// The global input split K ways.

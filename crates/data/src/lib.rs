@@ -17,6 +17,8 @@
 //! * [`scale`] — tile-based scaled generation: N independent worlds from
 //!   derived seeds, streamed one at a time for bounded memory.
 
+#![forbid(unsafe_code)]
+
 pub mod clicks;
 pub mod corpus;
 pub mod datasets;

@@ -11,13 +11,6 @@
 //! * [`run_ordered`] — map a pure function over a slice on scoped worker
 //!   threads; results come back **in input order**, so downstream merging
 //!   is independent of the thread count and of OS scheduling.
-//! * [`run_ordered_seeded`] — the same, but each work item additionally
-//!   receives its own RNG whose stream is derived from `(base_seed, item
-//!   index)`. Randomized per-item work stays reproducible at any thread
-//!   count because the stream belongs to the *item*, never to the worker.
-//! * [`shard_seed`] / [`shard_rng`] — the stream-splitting primitive the
-//!   seeded runner is built on, exposed for stages that manage their own
-//!   threads.
 //!
 //! ## Determinism contract
 //!
@@ -29,27 +22,10 @@
 //! order. If `f` panics on any item the panic is re-raised on the calling
 //! thread after the scope joins, never swallowed.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+#![forbid(unsafe_code)]
+
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// Derives an independent 64-bit seed for one shard of a computation.
-///
-/// SplitMix64 finalizer over `base ⊕ golden·(shard+1)`: statistically
-/// independent streams for adjacent shards, and shard 0 never collides
-/// with the base seed itself.
-pub fn shard_seed(base: u64, shard: u64) -> u64 {
-    let mut z = base ^ (shard.wrapping_add(1)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// A [`StdRng`] positioned at the start of shard `shard`'s stream.
-pub fn shard_rng(base: u64, shard: u64) -> StdRng {
-    StdRng::seed_from_u64(shard_seed(base, shard))
-}
 
 /// The machine's available hardware parallelism, detected once. Falls back
 /// to 1 when detection fails (restricted environments).
@@ -353,28 +329,9 @@ impl Drop for SetOnDrop<'_> {
     }
 }
 
-/// Like [`run_ordered`], but hands each work item a private RNG seeded
-/// from `(base_seed, item_index)` via [`shard_seed`].
-///
-/// Because the stream is keyed by the *item* and not the worker thread,
-/// randomized per-item work produces identical results at every thread
-/// count.
-pub fn run_ordered_seeded<I, O, F>(items: &[I], threads: usize, base_seed: u64, f: F) -> Vec<O>
-where
-    I: Sync,
-    O: Send,
-    F: Fn(&mut StdRng, usize, &I) -> O + Sync,
-{
-    run_ordered(items, threads, |i, item| {
-        let mut rng = shard_rng(base_seed, i as u64);
-        f(&mut rng, i, item)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::RngExt;
 
     #[test]
     fn ordered_run_matches_sequential_map() {
@@ -399,43 +356,6 @@ mod tests {
             x
         });
         assert_eq!(got, items);
-    }
-
-    #[test]
-    fn seeded_run_is_thread_count_invariant() {
-        let items: Vec<u32> = (0..40).collect();
-        let baseline = run_ordered_seeded(&items, 1, 42, |rng, _, &x| {
-            (x, rng.random_range(0..1_000_000u64))
-        });
-        for threads in [2, 4, 7] {
-            let got = run_ordered_seeded(&items, threads, 42, |rng, _, &x| {
-                (x, rng.random_range(0..1_000_000u64))
-            });
-            assert_eq!(got, baseline, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn shard_streams_differ_between_shards_and_seeds() {
-        let a: Vec<u64> = {
-            let mut r = shard_rng(7, 0);
-            (0..4).map(|_| r.random_range(0..u64::MAX)).collect()
-        };
-        let b: Vec<u64> = {
-            let mut r = shard_rng(7, 1);
-            (0..4).map(|_| r.random_range(0..u64::MAX)).collect()
-        };
-        let c: Vec<u64> = {
-            let mut r = shard_rng(8, 0);
-            (0..4).map(|_| r.random_range(0..u64::MAX)).collect()
-        };
-        assert_ne!(a, b, "adjacent shards must get independent streams");
-        assert_ne!(a, c, "different base seeds must get independent streams");
-        assert_ne!(
-            shard_seed(7, 0),
-            7,
-            "shard 0 must not reuse the base seed verbatim"
-        );
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //! * [`plan`] — the sequential cluster-planning pass that partitions the
 //!   query space into disjoint work items for parallel mining.
 
+#![forbid(unsafe_code)]
+
 pub mod click;
 pub mod cluster;
 pub mod digraph;

@@ -35,19 +35,7 @@
 //!   folds — the property the sharded caches key on.
 
 use crate::click::{ClickGraph, DocId, QueryId};
-
-/// FNV-1a 64-bit over a byte string. Stable, dependency-free, and fast;
-/// used only for tie-breaking (and by callers routing keyless items, e.g.
-/// sessions whose queries never reached the click graph) so distribution
-/// quality is a non-issue.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+use giant_text::fnv1a64;
 
 /// Sums `weights` in a canonical order (ascending bit pattern), making the
 /// result independent of the caller's accumulation order.

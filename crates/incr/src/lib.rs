@@ -43,6 +43,8 @@
 //! `tests/incremental_convergence.rs` proptests both over random splits of
 //! random worlds and pins the seed-42 experiment world as a golden.
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod ckpt;
 pub mod screen;

@@ -46,7 +46,7 @@
 use crate::batch::{ClickEvent, DeltaBatch};
 use crate::ckpt::{read_docs, read_ner, write_docs, write_ner};
 use giant_obs::Counter;
-use giant_ontology::binio::{self, fnv1a64, BinError, Reader, Writer};
+use giant_ontology::binio::{self, frame_checksum, BinError, Reader, Writer};
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
@@ -315,13 +315,6 @@ fn checked_frame_len(len: usize) -> Result<u32, WalError> {
             u32::MAX
         ),
     })
-}
-
-fn frame_checksum(seq: u64, payload: &[u8]) -> u64 {
-    let mut buf = Vec::with_capacity(8 + payload.len());
-    buf.extend_from_slice(&seq.to_le_bytes());
-    buf.extend_from_slice(payload);
-    fnv1a64(&buf)
 }
 
 /// Outcome of scanning a log image.

@@ -38,6 +38,8 @@
 //! in. `tests/net_equivalence.rs` (workspace root) byte-asserts this at
 //! 1/2/4 server threads and several coalescing limits.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod server;
 pub mod stats;

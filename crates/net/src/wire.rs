@@ -33,7 +33,7 @@ use giant_apps::serving::{ServeError, ServeRequest, ServeResponse};
 use giant_apps::storytree::{StoryEvent, StoryTree};
 use giant_apps::tagging::DocTags;
 use giant_obs::{HistogramSummary, MetricRow, MetricValue, MetricsSnapshot};
-use giant_ontology::binio::{fnv1a64, BinError, Reader, Writer};
+use giant_ontology::binio::{frame_checksum, BinError, Reader, Writer};
 use giant_ontology::NodeId;
 use std::fmt;
 use std::io::Write as _;
@@ -583,13 +583,6 @@ pub fn decode_reply(payload: &[u8]) -> Result<Reply, NetError> {
 
 // ---------------------------------------------------------------------------
 // Framing.
-
-fn frame_checksum(id: u64, payload: &[u8]) -> u64 {
-    let mut buf = Vec::with_capacity(8 + payload.len());
-    buf.extend_from_slice(&id.to_le_bytes());
-    buf.extend_from_slice(payload);
-    fnv1a64(&buf)
-}
 
 /// Builds one complete frame (header + payload) for transmission,
 /// checking the payload length against [`MAX_PAYLOAD`].

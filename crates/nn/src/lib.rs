@@ -26,6 +26,8 @@
 //! * [`gbdt`] — gradient-boosted trees with logistic loss.
 //! * [`gradcheck`] — finite-difference verification helpers used by tests.
 
+#![forbid(unsafe_code)]
+
 pub mod act;
 pub mod crf;
 pub mod embedding_layer;

@@ -36,6 +36,8 @@
 //! never perturbs any output byte, and costs <2% on the pipeline and
 //! serving paths.
 
+#![forbid(unsafe_code)]
+
 pub mod expose;
 pub mod metrics;
 pub mod profile;

@@ -38,6 +38,8 @@ use crate::edge::EdgeKind;
 use crate::node::{AttentionNode, NodeId, NodeKind, Phrase};
 use crate::ontology::Ontology;
 use crate::snapshot::{Csr, OntologySnapshot, PhraseEntry};
+pub use giant_text::fnv1a64;
+use giant_text::fnv1a64_extend;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
@@ -155,26 +157,18 @@ pub fn crash_point(label: &str) {
     }
 }
 
-/// FNV-1a 64-bit checksum (dependency-free, deterministic).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Per-section checksum covering the section **name and** payload — a bit
 /// flip in the name (which would silently re-route lookups) is caught the
 /// same as one in the data.
 fn section_checksum(name: &str, payload: &[u8]) -> u64 {
-    let mut h = fnv1a64(name.as_bytes());
-    for &b in payload {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a64_extend(fnv1a64(name.as_bytes()), payload)
+}
+
+/// Checksum of one `id ‖ payload` frame — WAL entries (`id` = sequence
+/// number) and wire frames (`id` = request id): FNV-1a over the id's 8
+/// little-endian bytes, continued over the payload.
+pub fn frame_checksum(id: u64, payload: &[u8]) -> u64 {
+    fnv1a64_extend(fnv1a64(&id.to_le_bytes()), payload)
 }
 
 /// Little-endian, length-prefixed binary writer.
@@ -970,6 +964,22 @@ pub fn read_snapshot(r: &mut Reader<'_>) -> Result<OntologySnapshot, BinError> {
 mod tests {
     use super::*;
     use crate::io;
+
+    #[test]
+    fn frame_checksum_equals_fnv_of_the_concatenation() {
+        // The bytes on disk and on the wire were defined by hashing a
+        // concatenated `id_le ‖ payload` buffer; streaming must not move them.
+        let payloads: [&[u8]; 4] = [b"", b"\0", b"giant", &[0xff; 300]];
+        for id in [0, 1, 0x0102_0304_0506_0708, u64::MAX] {
+            for p in payloads {
+                let concat = [&id.to_le_bytes()[..], p].concat();
+                assert_eq!(frame_checksum(id, p), fnv1a64(&concat), "id={id} len={}", p.len());
+            }
+        }
+        // Known FNV-1a vectors pin the hash itself.
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
 
     #[test]
     fn length_prefix_overflow_is_sticky_and_typed() {

@@ -11,6 +11,8 @@
 //! per-kind statistics behind Tables 1–2, and round-trips a plain-text
 //! serialisation ([`io`]).
 
+#![forbid(unsafe_code)]
+
 pub mod binio;
 pub mod delta;
 pub mod edge;

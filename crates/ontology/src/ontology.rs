@@ -440,8 +440,7 @@ impl Ontology {
     }
 
     /// All edges as `(src, dst, kind, weight)`, lazily (correlate listed
-    /// once, in the direction it was first added). Prefer this over
-    /// [`Ontology::edges`] when streaming — it allocates nothing.
+    /// once, in the direction it was first added); allocates nothing.
     pub fn edges_iter(&self) -> impl Iterator<Item = (NodeId, NodeId, EdgeKind, f64)> + '_ {
         self.out.iter().enumerate().flat_map(|(u, es)| {
             let src = NodeId(u as u32);
@@ -453,12 +452,6 @@ impl Ontology {
                 }
             })
         })
-    }
-
-    /// All edges collected into a `Vec`; thin compatibility wrapper over
-    /// [`Ontology::edges_iter`].
-    pub fn edges(&self) -> Vec<(NodeId, NodeId, EdgeKind, f64)> {
-        self.edges_iter().collect()
     }
 
     /// Per-kind node/edge statistics.
@@ -545,7 +538,7 @@ mod tests {
         assert_eq!(o.correlates_of(a), vec![(b, 0.9)]);
         assert_eq!(o.correlates_of(b), vec![(a, 0.9)]);
         assert_eq!(o.stats().edges_by_kind[EdgeKind::Correlate.index()], 1);
-        assert_eq!(o.edges().len(), 1);
+        assert_eq!(o.edges_iter().count(), 1);
     }
 
     #[test]
@@ -625,7 +618,7 @@ mod tests {
     }
 
     #[test]
-    fn edges_iter_matches_edges_and_allocates_lazily() {
+    fn edges_iter_is_repeatable_and_allocates_lazily() {
         let mut o = Ontology::new();
         let a = o.add_node(NodeKind::Concept, p("a"), 1.0);
         let b = o.add_node(NodeKind::Entity, p("b"), 1.0);
@@ -634,7 +627,7 @@ mod tests {
         o.add_correlate(b, c, 0.5).unwrap();
         o.add_involve(a, c, 0.7).unwrap();
         let collected: Vec<_> = o.edges_iter().collect();
-        assert_eq!(collected, o.edges());
+        assert_eq!(collected, o.edges_iter().collect::<Vec<_>>());
         assert_eq!(collected.len(), 3);
         // Streaming consumption needs no Vec.
         assert_eq!(o.edges_iter().filter(|(_, _, k, _)| *k == EdgeKind::Correlate).count(), 1);

@@ -18,6 +18,8 @@
 //!   `OntologyNode`/`OntologyEdge` visualizer shape, with the contract
 //!   `dump(import_json(export_json(o))) == dump(o)` byte-identical.
 
+#![forbid(unsafe_code)]
+
 pub mod interchange;
 pub mod schema;
 pub mod types;

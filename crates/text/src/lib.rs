@@ -20,12 +20,16 @@
 //!   oracle).
 //! * [`tfidf`] — document-frequency table and TF-IDF cosine similarity.
 //! * [`similarity`] — LCS, Jaccard and edit distance.
+//! * [`hash`] — FNV-1a, the workspace's checksum and tie-break hash.
 //!
 //! Everything is deterministic given a seed so experiments reproduce exactly.
+
+#![forbid(unsafe_code)]
 
 pub mod annotate;
 pub mod dep;
 pub mod embedding;
+pub mod hash;
 pub mod ner;
 pub mod pos;
 pub mod similarity;
@@ -37,6 +41,7 @@ pub mod vocab;
 pub use annotate::{AnnotatedText, Annotator, Token};
 pub use dep::{DepArc, DepRel, DependencyParser};
 pub use embedding::{PhraseEncoder, SgnsConfig, WordEmbeddings};
+pub use hash::{fnv1a64, fnv1a64_extend};
 pub use ner::{Gazetteer, NerTag};
 pub use pos::{HmmTagger, Lexicon, PosTag};
 pub use similarity::{edit_distance, jaccard, lcs_len};

@@ -17,6 +17,8 @@
 //! The problem solved throughout is the *fixed-endpoint Hamiltonian path*:
 //! `start → (all intermediates in some order) → end`.
 
+#![forbid(unsafe_code)]
+
 pub mod cost;
 pub mod exact;
 pub mod heuristic;

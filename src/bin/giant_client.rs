@@ -22,11 +22,7 @@ use giant::ontology::NodeId;
 
 fn main() {
     let argv: Vec<String> = std::env::args().collect();
-    let get = |flag: &str| -> Option<String> {
-        argv.iter()
-            .position(|a| a == flag)
-            .map(|i| argv[i + 1].clone())
-    };
+    let get = |flag: &str| giant::cli::flag_value(&argv, flag);
     let addr = get("--addr").unwrap_or_else(|| "127.0.0.1:7471".into());
 
     let request = if let Some(q) = get("--conceptualize") {
@@ -34,12 +30,7 @@ fn main() {
     } else if let Some(q) = get("--recommend") {
         Request::Serve(ServeRequest::Recommend { query: q })
     } else if let Some(title) = get("--tag") {
-        let sentences = argv
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| *a == "--sentence")
-            .map(|(i, _)| argv[i + 1].clone())
-            .collect();
+        let sentences = giant::cli::flag_values(&argv, "--sentence");
         Request::Serve(ServeRequest::TagDocument { title, sentences })
     } else if let Some(seed) = get("--story") {
         Request::Serve(ServeRequest::StoryTree {

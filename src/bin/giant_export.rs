@@ -36,11 +36,7 @@ struct Args {
 
 fn parse_args() -> Args {
     let argv: Vec<String> = std::env::args().collect();
-    let get = |flag: &str| -> Option<String> {
-        argv.iter()
-            .position(|a| a == flag)
-            .map(|i| argv[i + 1].clone())
-    };
+    let get = |flag: &str| giant::cli::flag_value(&argv, flag);
     Args {
         checkpoint: get("--checkpoint").map(PathBuf::from),
         world: get("--world").unwrap_or_else(|| "tiny".into()),

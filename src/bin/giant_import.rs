@@ -35,11 +35,7 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let argv: Vec<String> = std::env::args().collect();
-    let get = |flag: &str| -> Option<String> {
-        argv.iter()
-            .position(|a| a == flag)
-            .map(|i| argv[i + 1].clone())
-    };
+    let get = |flag: &str| giant::cli::flag_value(&argv, flag);
     Ok(Args {
         input: get("--in").map(PathBuf::from).ok_or("--in PATH is required")?,
         dump: get("--dump").map(PathBuf::from),

@@ -78,11 +78,7 @@ fn install_signal_handlers() {
 
 fn parse_args() -> Args {
     let argv: Vec<String> = std::env::args().collect();
-    let get = |flag: &str| -> Option<String> {
-        argv.iter()
-            .position(|a| a == flag)
-            .map(|i| argv[i + 1].clone())
-    };
+    let get = |flag: &str| giant::cli::flag_value(&argv, flag);
     let defaults = ServerConfig::default();
     Args {
         addr: get("--addr").unwrap_or_else(|| "127.0.0.1:7471".into()),

@@ -44,11 +44,7 @@ struct Args {
 
 fn parse_args() -> Args {
     let argv: Vec<String> = std::env::args().collect();
-    let get = |flag: &str| -> Option<String> {
-        argv.iter()
-            .position(|a| a == flag)
-            .map(|i| argv[i + 1].clone())
-    };
+    let get = |flag: &str| giant::cli::flag_value(&argv, flag);
     Args {
         dir: PathBuf::from(get("--dir").expect("--dir <path> is required")),
         emit: PathBuf::from(get("--emit").expect("--emit <path> is required")),

@@ -48,6 +48,8 @@
 //! println!("version {}: {answer:?}", serving.service.version());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use giant_apps as apps;
 pub use giant_baselines as baselines;
 pub use giant_core as mining;
@@ -63,3 +65,4 @@ pub use giant_text as text;
 pub use giant_tsp as tsp;
 
 pub mod adapter;
+pub mod cli;

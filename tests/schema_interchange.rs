@@ -236,6 +236,28 @@ fn export_import_bins_round_trip_through_child_processes() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A flag given as the last argument is a usage error in every binary —
+/// exit 2 and the flag's name on stderr — not an index-out-of-bounds panic.
+#[test]
+fn trailing_flag_is_a_usage_error_in_every_binary() {
+    let cases: [(&str, &[&str]); 6] = [
+        (env!("CARGO_BIN_EXE_giant_server"), &["--addr"]),
+        (env!("CARGO_BIN_EXE_giant_client"), &["--addr"]),
+        (env!("CARGO_BIN_EXE_giant_client"), &["--tag", "a title", "--sentence"]),
+        (env!("CARGO_BIN_EXE_giant_export"), &["--world", "tiny", "--out"]),
+        (env!("CARGO_BIN_EXE_giant_import"), &["--in"]),
+        (env!("CARGO_BIN_EXE_wal_crash_child"), &["--dir"]),
+    ];
+    for (bin, args) in cases {
+        let flag = args[args.len() - 1];
+        let out = std::process::Command::new(bin).args(args).output().expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+        assert!(stderr.contains(&format!("missing value for {flag}")), "{bin} {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked at"), "{bin} {args:?}: {stderr}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The schema-off fast paths are byte-identical to the pre-schema repo.
 
