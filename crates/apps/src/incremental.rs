@@ -10,16 +10,6 @@
 //! readers keep answering from whatever frame they hold (the superseded
 //! frame is freed when the last of them lets go).
 //!
-//! **Sharded folding** needs no driver knob: build the
-//! [`IncrementalState`] with `GiantConfig::shards = K` and every ingest
-//! partitions the accumulated input (`graph::shard`), folds the K shards
-//! concurrently on per-shard warm cache slots, and publishes one federated
-//! frame (DESIGN.md §14). The durability contract is unchanged — the WAL
-//! logs batches before any fold, and checkpoints (format v2) carry the
-//! per-shard slots, so `restore_durable` replays the tail through the same
-//! sharded path and converges byte-identically
-//! (`tests/shard_federation.rs`).
-//!
 //! Model resources (the SGNS phrase encoder, TF-IDF, Duet matcher) are
 //! trained offline and carried across publishes by `Arc`; what refreshes
 //! per version is the *mined metadata*: concept contexts, event/topic

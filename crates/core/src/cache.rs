@@ -245,46 +245,6 @@ impl EntityLookupCache {
     }
 }
 
-/// One shard's private caches plus the id maps they were built under.
-///
-/// A sharded cached run (`GiantConfig::shards ≥ 2`) keeps one slot per
-/// shard: the inner [`PipelineCaches`] memoizes that shard's private
-/// pipeline exactly as the top-level caches memoize a single-shard run,
-/// but its plan/mine entries are keyed by **shard-local** ids — so they
-/// are only trustworthy while the shard's local↔global id maps are a
-/// *prefix extension* of the maps the entries were built under (local ids
-/// stable, new ids appended at the end). The sharded runner checks that
-/// before every run and drops the slot's caches wholesale on any
-/// violation (a query's majority shard flipped) — correct, just slower
-/// for one fold. Doc maps can never violate it: a document's shard is a
-/// pure function of the fixed category tree.
-#[derive(Debug, Clone, Default)]
-pub struct ShardSlot {
-    /// Local→global query ids the caches were last built under (ascending).
-    pub(crate) query_map: Vec<u32>,
-    /// Local→global doc ids (ascending).
-    pub(crate) doc_map: Vec<u32>,
-    /// The shard's private pipeline caches.
-    pub(crate) caches: PipelineCaches,
-}
-
-impl ShardSlot {
-    /// Local→global query ids the slot's caches were built under.
-    pub fn query_map(&self) -> &[u32] {
-        &self.query_map
-    }
-
-    /// Local→global doc ids the slot's caches were built under.
-    pub fn doc_map(&self) -> &[u32] {
-        &self.doc_map
-    }
-
-    /// The shard's private caches.
-    pub fn caches(&self) -> &PipelineCaches {
-        &self.caches
-    }
-}
-
 /// The caches a long-lived incremental pipeline carries across runs. See
 /// the [module docs](self) for the validity contract.
 #[derive(Debug, Clone, Default)]
@@ -303,9 +263,6 @@ pub struct PipelineCaches {
     pub(crate) roles: HashMap<String, Vec<EventRole>>,
     /// Session-mining entity lookup memo.
     pub(crate) entity_lookup: EntityLookupCache,
-    /// Per-shard cache slots (empty until a run with
-    /// `GiantConfig::shards ≥ 2` populates them).
-    pub(crate) shards: Vec<ShardSlot>,
 }
 
 impl PipelineCaches {
@@ -317,64 +274,17 @@ impl PipelineCaches {
     /// Evicts every cached walk whose footprint reads a node the batch
     /// dirtied; returns how many were evicted. Must be called after each
     /// round of click-graph edits, before the next cached run.
-    ///
-    /// Shard slots receive the dirty set translated into their local id
-    /// space through the maps their caches were built under (the maps
-    /// current as of the previous run — exactly the space the cached
-    /// footprints are expressed in). Global ids absent from a slot's maps
-    /// (the other shards' nodes, ids newer than the slot) translate to
-    /// nothing there, and boundary-edge edits over-invalidate harmlessly:
-    /// both endpoints get marked in their respective shards even though a
-    /// severed edge appears in neither private graph.
     pub fn invalidate(&mut self, dirty: &DirtySet) -> usize {
-        let mut evicted = self.plan.invalidate(dirty);
-        for slot in &mut self.shards {
-            let mut local = DirtySet::new();
-            for q in dirty.dirty_queries() {
-                if let Ok(lq) = slot.query_map.binary_search(&(q as u32)) {
-                    local.mark_query(lq);
-                }
-            }
-            for d in dirty.dirty_docs() {
-                if let Ok(ld) = slot.doc_map.binary_search(&(d as u32)) {
-                    local.mark_doc(ld);
-                }
-            }
-            if !local.is_empty() {
-                evicted += slot.caches.invalidate(&local);
-            }
-        }
-        evicted
+        self.plan.invalidate(dirty)
     }
 
-    /// Number of cached cluster extractions (shard slots included).
+    /// Number of cached cluster extractions.
     pub fn cached_plans(&self) -> usize {
         self.plan.len()
-            + self
-                .shards
-                .iter()
-                .map(|s| s.caches.cached_plans())
-                .sum::<usize>()
     }
 
-    /// Number of cached cluster minings (shard slots included).
+    /// Number of cached cluster minings.
     pub fn cached_minings(&self) -> usize {
         self.mine.len()
-            + self
-                .shards
-                .iter()
-                .map(|s| s.caches.cached_minings())
-                .sum::<usize>()
-    }
-
-    /// The per-shard cache slots (empty when no sharded run has happened).
-    /// Checkpoint codecs serialise each slot as its own section.
-    pub fn shard_slots(&self) -> &[ShardSlot] {
-        &self.shards
-    }
-
-    /// Installs restored shard slots (the checkpoint read path).
-    pub fn set_shard_slots(&mut self, slots: Vec<ShardSlot>) {
-        self.shards = slots;
     }
 }

@@ -336,34 +336,6 @@ impl PipelineCaches {
             text,
             roles,
             entity_lookup: EntityLookupCache { map },
-            // Shard slots are serialised as their own checkpoint sections
-            // (`shard.<k>.*`, written by `giant-incr`) — this codec covers
-            // one flat cache set, sharded or not.
-            shards: Vec::new(),
-        })
-    }
-}
-
-impl crate::cache::ShardSlot {
-    /// Serialises one shard slot: the id maps the caches were built under,
-    /// then the caches themselves (same codec as the flat set).
-    pub fn write_checkpoint(&self, w: &mut Writer) {
-        w.u32_slice(&self.query_map);
-        w.u32_slice(&self.doc_map);
-        self.caches.write_checkpoint(w);
-    }
-
-    /// Restores a slot written by [`Self::write_checkpoint`].
-    ///
-    /// [`ShardSlot`]: crate::cache::ShardSlot
-    pub fn read_checkpoint(r: &mut Reader<'_>) -> Result<Self, BinError> {
-        let query_map = r.u32_vec()?;
-        let doc_map = r.u32_vec()?;
-        let caches = PipelineCaches::read_checkpoint(r)?;
-        Ok(Self {
-            query_map,
-            doc_map,
-            caches,
         })
     }
 }

@@ -32,18 +32,6 @@ pub struct GiantConfig {
     /// `1` both run sequentially). Output is byte-identical for every
     /// value: parallelism changes wall-clock, never the ontology.
     pub threads: usize,
-    /// Number of corpus/click-graph shards K (`0` and `1` both run the
-    /// classic single-shard pipeline, byte-identical to every pre-sharding
-    /// release). At K ≥ 2 the corpus is partitioned by category subtree
-    /// ([`giant_graph::shard`]), the full mining pipeline runs per shard
-    /// concurrently (sharing the `threads` budget via
-    /// [`giant_exec::WorkerBudget`]), and the per-shard ontologies are
-    /// aligned and merged by `core::federate`. Output is deterministic for
-    /// every `(shards, threads)` pair but *differs* across shard counts:
-    /// boundary edges are severed, which perturbs walk neighborhoods near
-    /// shard borders (the severed mass is reported and bounded — see
-    /// DESIGN.md §14).
-    pub shards: usize,
 }
 
 impl GiantConfig {
@@ -82,7 +70,6 @@ impl Default for GiantConfig {
             correlate_threshold_percentile: 0.6,
             seed: 42,
             threads: 1,
-            shards: 1,
         }
     }
 }

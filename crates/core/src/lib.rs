@@ -29,13 +29,11 @@ pub mod config;
 pub mod decode;
 pub mod derive;
 pub mod event_cand;
-mod federate;
 pub mod gctsp;
 pub mod link;
 pub mod normalize;
 pub mod pipeline;
 pub mod qtig;
-mod shard;
 pub mod train;
 pub mod util;
 

@@ -200,12 +200,6 @@ fn run_impl(
     cfg: &GiantConfig,
     caches: Option<&mut PipelineCaches>,
 ) -> GiantOutput {
-    // K ≥ 2 takes the sharded path; K ≤ 1 runs the classic pipeline below
-    // — literally the pre-sharding code, so the K=1 byte-identity
-    // guarantee is structural, not re-proven per release.
-    if cfg.shards > 1 {
-        return run_sharded(input, models, cfg, caches);
-    }
     // Root span for the whole build: armed runs see stage spans nest as
     // `pipeline;mine.execute` etc. in the ring and the profile.
     let pipeline_span = giant_obs::span("pipeline");
@@ -276,154 +270,7 @@ fn timed<R>(timings: &mut StageTimings, name: &'static str, f: impl FnOnce() -> 
     r
 }
 
-/// Static span-name table for per-shard mining spans: `giant_obs::span`
-/// takes `&'static str` by design (zero-allocation hot path), so shard
-/// indices map onto a fixed table; absurd shard counts share an overflow
-/// bucket rather than losing the span.
-static SHARD_SPAN_NAMES: [&str; 16] = [
-    "shard.mine.0",
-    "shard.mine.1",
-    "shard.mine.2",
-    "shard.mine.3",
-    "shard.mine.4",
-    "shard.mine.5",
-    "shard.mine.6",
-    "shard.mine.7",
-    "shard.mine.8",
-    "shard.mine.9",
-    "shard.mine.10",
-    "shard.mine.11",
-    "shard.mine.12",
-    "shard.mine.13",
-    "shard.mine.14",
-    "shard.mine.15",
-];
-
-fn shard_span_name(shard: usize) -> &'static str {
-    SHARD_SPAN_NAMES
-        .get(shard)
-        .copied()
-        .unwrap_or("shard.mine.overflow")
-}
-
-/// The K ≥ 2 pipeline: partition → per-shard plan/execute/merge
-/// (concurrent over `giant-exec`, each shard on its private click graph) →
-/// federate (align + merge into one ontology). See DESIGN.md §14.
-///
-/// Deterministic for every `(threads, scheduling)` at a fixed K: the
-/// partition is a pure function of the input, each shard's run is the
-/// single-shard pipeline (deterministic by the existing contract), shards
-/// return in index order from [`giant_exec::run_ordered`], and federation
-/// iterates in (shard, creation) order throughout.
-fn run_sharded(
-    input: &PipelineInput,
-    models: &GiantModels,
-    cfg: &GiantConfig,
-    caches: Option<&mut PipelineCaches>,
-) -> GiantOutput {
-    let pipeline_span = giant_obs::span("pipeline");
-    let mut timings = StageTimings::default();
-
-    let part_span = giant_obs::span("shard.partition");
-    let sharded = crate::shard::build_sharded_input(input, cfg.shards);
-    giant_obs::registry()
-        .counter("shard.boundary_edges")
-        .add(sharded.plan.boundary.edges.len() as u64);
-    timings.record("shard.partition", part_span.finish_secs());
-
-    // Nested parallelism shares one budget: K outer shard workers × inner
-    // mining threads never exceeds the machine clamp (the satellite-2
-    // regression: K=4 at threads=4 on a 2-vCPU box must not run 8 busy
-    // threads).
-    let budget = giant_exec::WorkerBudget::new(cfg.threads);
-    let (outer_workers, inner_threads) = budget.split(sharded.plan.k);
-    let inner_cfg = GiantConfig {
-        shards: 1,
-        threads: inner_threads,
-        ..*cfg
-    };
-
-    // The uncached path builds a throwaway global text cache for the
-    // federation TF-IDF; the cached path syncs (and keeps) the shared one.
-    let mut local_text = TextCache::default();
-    let shard_outs: Vec<GiantOutput>;
-    let text: &TextCache = match caches {
-        Some(c) => {
-            timed(&mut timings, "text_sync", || c.text.sync(input));
-            // One slot per shard. A K-change invalidates every slot (the
-            // partition moved under all of them).
-            if c.shards.len() != sharded.plan.k {
-                c.shards = vec![crate::cache::ShardSlot::default(); sharded.plan.k];
-            }
-            for (slot, gs) in c.shards.iter_mut().zip(&sharded.plan.shards) {
-                let prefix_ok = |stored: &[u32], now: &[u32]| {
-                    now.len() >= stored.len() && &now[..stored.len()] == stored
-                };
-                if !(prefix_ok(&slot.query_map, &gs.query_map)
-                    && prefix_ok(&slot.doc_map, &gs.doc_map))
-                {
-                    // A query's majority shard flipped: local ids moved,
-                    // the slot's id-keyed caches are untrustworthy. Drop
-                    // them (content-keyed parts rebuild lazily).
-                    slot.caches = PipelineCaches::default();
-                }
-                slot.query_map = gs.query_map.clone();
-                slot.doc_map = gs.doc_map.clone();
-            }
-            // Shards run concurrently; each item carries its slot's caches
-            // behind a Mutex because `run_ordered` hands workers `&item`
-            // (each slot is locked exactly once, by whichever worker runs
-            // that shard).
-            let items: Vec<(usize, &PipelineInput, std::sync::Mutex<&mut PipelineCaches>)> = c
-                .shards
-                .iter_mut()
-                .zip(&sharded.inputs)
-                .enumerate()
-                .map(|(k, (slot, si))| (k, si, std::sync::Mutex::new(&mut slot.caches)))
-                .collect();
-            let results = giant_exec::run_ordered(&items, outer_workers, |_, (k, si, slot)| {
-                let span = giant_obs::span(shard_span_name(*k));
-                let mut guard = slot.lock().expect("shard cache slot poisoned");
-                let out = run_impl(si, models, &inner_cfg, Some(&mut guard));
-                (out, span.finish_secs())
-            });
-            for (k, (_, secs)) in results.iter().enumerate() {
-                timings.record(shard_span_name(k), *secs);
-            }
-            shard_outs = results.into_iter().map(|(o, _)| o).collect();
-            &c.text
-        }
-        None => {
-            timed(&mut timings, "text_sync", || local_text.sync(input));
-            let items: Vec<(usize, &PipelineInput)> =
-                sharded.inputs.iter().enumerate().collect();
-            let results = giant_exec::run_ordered(&items, outer_workers, |_, (k, si)| {
-                let span = giant_obs::span(shard_span_name(*k));
-                let out = run_impl(si, models, &inner_cfg, None);
-                (out, span.finish_secs())
-            });
-            for (k, (_, secs)) in results.iter().enumerate() {
-                timings.record(shard_span_name(k), *secs);
-            }
-            shard_outs = results.into_iter().map(|(o, _)| o).collect();
-            &local_text
-        }
-    };
-
-    let mut out = crate::federate::federate(
-        input,
-        cfg,
-        text,
-        &sharded.plan,
-        shard_outs,
-        &mut timings,
-    );
-    out.timings = timings;
-    drop(pipeline_span);
-    out
-}
-
-pub(crate) fn register_categories(input: &PipelineInput, out: &mut GiantOutput) {
+fn register_categories(input: &PipelineInput, out: &mut GiantOutput) {
     for c in &input.categories {
         let node = out.ontology.add_node(
             NodeKind::Category,
@@ -450,7 +297,7 @@ pub(crate) fn register_categories(input: &PipelineInput, out: &mut GiantOutput) 
 /// node per occurrence and let the `HashMap` insert silently orphan all
 /// but the last one — an ordering hazard the duplicate-surface test below
 /// pins down.)
-pub(crate) fn register_entities(input: &PipelineInput, out: &mut GiantOutput) {
+fn register_entities(input: &PipelineInput, out: &mut GiantOutput) {
     for (tokens, _ner) in &input.entities {
         let surface = tokens.join(" ");
         if out.entity_nodes.contains_key(&surface) {

@@ -2,7 +2,7 @@
 //!
 //! One [`World`] is bounded by its domain templates — a handful of category
 //! subtrees, tens of entities. Scaling the *corpus* two orders of magnitude
-//! for throughput work (the sharded-pipeline benchmarks) therefore
+//! for throughput work (the repo benchmark's cold build) therefore
 //! replicates the generator instead of the templates: a **scaled world is N
 //! independent tiles**, each a full `World` generated from a seed derived
 //! per tile, concatenated downstream with id offsets.
@@ -17,11 +17,10 @@
 //! * **Determinism** — tile seeds come from a SplitMix64 finalizer over
 //!   `(base seed, tile index)`; the scaled corpus is a pure function of
 //!   `(base config, n_tiles)`.
-//! * **Shard structure** — each tile owns distinct level-1 category roots,
-//!   so a K-way document-led partition (`giant_graph::shard`) aligns
-//!   shards with whole tiles when K divides the tile count, while shared
-//!   concept surfaces across tiles (the domain templates repeat) keep a
-//!   realistic trickle of cross-shard queries and boundary edges.
+//! * **Tile structure** — each tile owns distinct level-1 category roots,
+//!   while shared concept surfaces across tiles (the domain templates
+//!   repeat) keep a realistic trickle of queries that click into several
+//!   tiles.
 
 use crate::world::{World, WorldConfig};
 

@@ -56,58 +56,6 @@ fn effective_threads(requested: usize, n_items: usize) -> usize {
         .min(hardware_threads())
 }
 
-/// A shared worker budget for **nested** parallelism: an outer executor
-/// running K concurrent tasks where each task wants its own inner
-/// `run_ordered` pool.
-///
-/// Every runner in this crate independently clamps at
-/// [`hardware_threads`], which is correct for a single level of
-/// parallelism but composes badly when nested: K outer workers × up to
-/// `hardware_threads()` inner workers each would oversubscribe the
-/// machine by a factor of K (on the 2-vCPU reference box, a K=4 sharded
-/// run at `threads=4` would ask for 8 busy threads on 2 cores). A
-/// `WorkerBudget` is created once from the *requested* thread count and
-/// split across the outer fan-out so the product of outer workers and
-/// per-task inner threads never exceeds the machine clamp.
-///
-/// Determinism is unaffected — thread counts change wall-clock only, by
-/// the crate-wide contract — so the split is purely a scheduling policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerBudget {
-    total: usize,
-}
-
-impl WorkerBudget {
-    /// A budget of `min(requested.max(1), hardware_threads())` workers —
-    /// the same clamp [`run_ordered`] applies to a flat run.
-    pub fn new(requested: usize) -> Self {
-        WorkerBudget {
-            total: requested.max(1).min(hardware_threads()),
-        }
-    }
-
-    /// The total number of busy workers this budget permits.
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
-    /// Splits the budget across `outer` concurrent tasks, returning
-    /// `(outer_workers, inner_threads)`.
-    ///
-    /// Guarantees `outer_workers * inner_threads <= total() <=
-    /// hardware_threads()` and both factors are ≥ 1: the outer executor
-    /// should run at most `outer_workers` tasks concurrently, and each
-    /// task should pass `inner_threads` to its own runners. When the
-    /// budget cannot cover every outer task with a dedicated worker the
-    /// outer fan-out is capped (excess tasks queue behind the claim
-    /// counter in [`run_ordered`]) rather than oversubscribing.
-    pub fn split(&self, outer: usize) -> (usize, usize) {
-        let outer_workers = outer.clamp(1, self.total);
-        let inner_threads = (self.total / outer_workers).max(1);
-        (outer_workers, inner_threads)
-    }
-}
-
 /// Maps `f` over `items` on `threads` scoped workers, returning results in
 /// input order.
 ///
@@ -506,47 +454,6 @@ mod tests {
         assert_eq!(calls, 0);
         run_speculative(1, 4, 8, || (), |_, i| Some(i), |_, _| calls += 1);
         assert_eq!(calls, 1);
-    }
-
-    #[test]
-    fn worker_budget_never_oversubscribes_the_machine() {
-        // The regression from the sharding refactor: K=4 shards at
-        // threads=4 on a 2-vCPU box must not ask for 8 busy workers.
-        for requested in [1, 2, 4, 8, 64] {
-            let budget = WorkerBudget::new(requested);
-            assert!(budget.total() <= hardware_threads());
-            assert!(budget.total() >= 1);
-            for outer in [1, 2, 3, 4, 7, 16] {
-                let (ow, inner) = budget.split(outer);
-                assert!(ow >= 1 && inner >= 1, "requested={requested} outer={outer}");
-                assert!(
-                    ow * inner <= budget.total(),
-                    "requested={requested} outer={outer}: {ow}x{inner} exceeds budget {}",
-                    budget.total()
-                );
-                assert!(
-                    ow * inner <= hardware_threads(),
-                    "requested={requested} outer={outer}: {ow}x{inner} oversubscribes"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn worker_budget_split_uses_the_whole_budget_when_divisible() {
-        // Not just "doesn't oversubscribe" — a divisible split must not
-        // leave workers idle either.
-        let budget = WorkerBudget { total: 8 };
-        assert_eq!(budget.split(1), (1, 8));
-        assert_eq!(budget.split(2), (2, 4));
-        assert_eq!(budget.split(4), (4, 2));
-        assert_eq!(budget.split(8), (8, 1));
-        // Over-fanned: outer capped at the budget, inner pinned to 1.
-        assert_eq!(budget.split(16), (8, 1));
-        // Indivisible: floor division, never rounding up past the budget.
-        assert_eq!(budget.split(3), (3, 2));
-        let single = WorkerBudget { total: 1 };
-        assert_eq!(single.split(4), (1, 1));
     }
 
     #[test]

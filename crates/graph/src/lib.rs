@@ -22,12 +22,10 @@ pub mod click;
 pub mod cluster;
 pub mod digraph;
 pub mod plan;
-pub mod shard;
 pub mod walk;
 
 pub use click::{ClickGraph, ClickSavepoint, DocId, QueryId};
 pub use cluster::{extract_cluster, extract_cluster_tracked, extract_cluster_with, ClusterConfig, QueryDocCluster};
 pub use digraph::DiGraph;
 pub use plan::{plan_clusters, plan_clusters_cached, plan_clusters_parallel, ClusterPlan, ClusterWorkItem, DirtySet, PlanCache};
-pub use shard::{partition, BoundaryEdge, BoundaryReport, GraphShard, ShardPlan};
 pub use walk::{walk_from, WalkConfig, WalkFootprint, WalkResult, Walker};

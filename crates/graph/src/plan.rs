@@ -197,25 +197,6 @@ impl DirtySet {
         self.n_queries == 0 && self.n_docs == 0
     }
 
-    /// Ascending ids of the dirty queries (sharded caches translate these
-    /// into each shard's local id space).
-    pub fn dirty_queries(&self) -> impl Iterator<Item = usize> + '_ {
-        self.queries
-            .iter()
-            .enumerate()
-            .filter(|(_, &m)| m)
-            .map(|(q, _)| q)
-    }
-
-    /// Ascending ids of the dirty docs.
-    pub fn dirty_docs(&self) -> impl Iterator<Item = usize> + '_ {
-        self.docs
-            .iter()
-            .enumerate()
-            .filter(|(_, &m)| m)
-            .map(|(d, _)| d)
-    }
-
     /// True when the footprint reads any dirty node — the cached walk it
     /// belongs to can no longer be trusted.
     pub fn touches(&self, fp: &WalkFootprint) -> bool {

@@ -53,18 +53,24 @@ pub(crate) fn read_ner(r: &mut Reader<'_>) -> Result<NerTag, BinError> {
     })
 }
 
-/// Checkpoint layer format version, carried in the `incr.format` section.
+/// Checkpoint layer format version, carried in the `incr.format` section
+/// as `[version: u32, slot_count: u32]`.
 ///
-/// * **v1** (implicit — no `incr.format` section): the pre-sharding layout;
-///   `incr.meta` ends at `threads` + the fold counter, no shard sections.
-/// * **v2**: adds `incr.format` `[version: u32, shard_slots: u32]`, appends
-///   [`GiantConfig::shards`] to `incr.meta`, and serialises each warm
-///   per-shard cache slot as its own `shard.<k>.slot` section.
-///
-/// The container-global version in [`giant_ontology::binio`] is untouched:
-/// this is a *checkpoint-layer* version, so pre-sharding checkpoints keep
-/// loading (they restore with `shards = 1` and no slots).
+/// The slot count and the `usize` that follows `threads` in `incr.meta`
+/// are fixed fields of the layout: they are written as `0` and `1`, the
+/// values every checkpoint this layout has ever held, and the reader
+/// rejects anything else (see [`Checkpoint::from_sections`]). The
+/// container-global version in [`giant_ontology::binio`] is separate.
 const CHECKPOINT_VERSION: u32 = 2;
+
+/// The typed refusal for the two fields that used to describe a sharded
+/// state (`what` names the field, `found` its stored value).
+fn sharded_unsupported(at: usize, what: &str, found: u64) -> BinError {
+    BinError::new(
+        at,
+        format!("sharded checkpoints are no longer supported ({what} = {found})"),
+    )
+}
 
 fn write_config(w: &mut Writer, cfg: &GiantConfig) {
     w.f64(cfg.cluster.delta_v);
@@ -85,13 +91,11 @@ fn write_config(w: &mut Writer, cfg: &GiantConfig) {
     w.f64(cfg.correlate_threshold_percentile);
     w.u64(cfg.seed);
     w.usize(cfg.threads);
-    w.usize(cfg.shards);
+    w.usize(1);
 }
 
-/// `has_shards` is false when reading a v1 checkpoint (no `incr.format`
-/// section): the field did not exist, and every v1 build was single-shard.
-fn read_config(r: &mut Reader<'_>, has_shards: bool) -> Result<GiantConfig, BinError> {
-    Ok(GiantConfig {
+fn read_config(r: &mut Reader<'_>) -> Result<GiantConfig, BinError> {
+    let cfg = GiantConfig {
         cluster: ClusterConfig {
             delta_v: r.f64()?,
             walk: WalkConfig {
@@ -114,8 +118,13 @@ fn read_config(r: &mut Reader<'_>, has_shards: bool) -> Result<GiantConfig, BinE
         correlate_threshold_percentile: r.f64()?,
         seed: r.u64()?,
         threads: r.usize()?,
-        shards: if has_shards { r.usize()? } else { 1 },
-    })
+    };
+    let at = r.position();
+    let shards = r.usize()?;
+    if shards > 1 {
+        return Err(sharded_unsupported(at, "stored shards", shards as u64));
+    }
+    Ok(cfg)
 }
 
 fn write_click_graph(w: &mut Writer, g: &ClickGraph) {
@@ -256,7 +265,7 @@ fn write_sections(
 ) {
     let mut w = Writer::new();
     w.u32(CHECKPOINT_VERSION);
-    w.u32(caches.shard_slots().len() as u32);
+    w.u32(0);
     file.add_writer("incr.format", w);
 
     let mut w = Writer::new();
@@ -282,14 +291,6 @@ fn write_sections(
     let mut w = Writer::new();
     caches.write_checkpoint(&mut w);
     file.add_writer("incr.caches", w);
-
-    // Warm per-shard cache slots, one section each — kept out of
-    // `incr.caches` so v1 readers of that section's layout stay valid.
-    for (k, slot) in caches.shard_slots().iter().enumerate() {
-        let mut w = Writer::new();
-        slot.write_checkpoint(&mut w);
-        file.add_writer(&format!("shard.{k}.slot"), w);
-    }
 
     let mut w = Writer::new();
     binio::write_ontology(ontology, &mut w);
@@ -404,34 +405,38 @@ impl Checkpoint {
         );
     }
 
-    /// Reads a checkpoint back out of a container's `incr.*` (and, from
-    /// checkpoint-format v2, `shard.*`) sections. A missing `incr.format`
-    /// section marks a v1 (pre-sharding) checkpoint, which restores with
-    /// `shards = 1` and no warm slots.
+    /// Reads a checkpoint back out of a container's `incr.*` sections.
+    ///
+    /// Exactly one layout is accepted: `incr.format = [2, 0]` and a stored
+    /// shard count of at most 1. A missing `incr.format`, another version,
+    /// a non-zero slot count or a larger shard count fail with a typed
+    /// [`BinError`] before anything is sized from them.
     pub fn from_sections(file: &SectionFile) -> Result<Self, BinError> {
-        let (version, n_slots) = if file.names().any(|n| n == "incr.format") {
-            let mut r = file.section("incr.format")?;
-            let version = r.u32()?;
-            if version < 2 || version > CHECKPOINT_VERSION {
-                return Err(BinError::new(
-                    0,
-                    format!(
-                        "unsupported checkpoint format v{version} \
-                         (this build reads v1..=v{CHECKPOINT_VERSION})"
-                    ),
-                ));
-            }
-            // Not `r.len`: the slot payloads live in their own sections, so
-            // the in-section remaining-bytes sanity bound does not apply.
-            let n_slots = r.u32()? as usize;
-            r.expect_exhausted()?;
-            (version, n_slots)
-        } else {
-            (1, 0)
+        let unsupported = |found: &str| {
+            BinError::new(
+                0,
+                format!(
+                    "unsupported checkpoint format {found} \
+                     (this build reads v{CHECKPOINT_VERSION})"
+                ),
+            )
         };
+        let mut r = file
+            .section("incr.format")
+            .map_err(|_| unsupported("v1 (no incr.format section)"))?;
+        let version = r.u32()?;
+        if version != CHECKPOINT_VERSION {
+            return Err(unsupported(&format!("v{version}")));
+        }
+        let at = r.position();
+        let n_slots = r.u32()?;
+        if n_slots != 0 {
+            return Err(sharded_unsupported(at, "slot count", n_slots.into()));
+        }
+        r.expect_exhausted()?;
 
         let mut r = file.section("incr.meta")?;
-        let cfg = read_config(&mut r, version >= 2)?;
+        let cfg = read_config(&mut r)?;
         let folds = r.u64()?;
         r.expect_exhausted()?;
 
@@ -454,16 +459,8 @@ impl Checkpoint {
         r.expect_exhausted()?;
 
         let mut r = file.section("incr.caches")?;
-        let mut caches = PipelineCaches::read_checkpoint(&mut r)?;
+        let caches = PipelineCaches::read_checkpoint(&mut r)?;
         r.expect_exhausted()?;
-
-        let mut slots = Vec::with_capacity(n_slots);
-        for k in 0..n_slots {
-            let mut r = file.section(&format!("shard.{k}.slot"))?;
-            slots.push(giant_core::cache::ShardSlot::read_checkpoint(&mut r)?);
-            r.expect_exhausted()?;
-        }
-        caches.set_shard_slots(slots);
 
         let mut r = file.section("incr.ontology")?;
         let ontology = binio::read_ontology(&mut r)?;
@@ -581,178 +578,100 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// A state folded under `shards = 2` checkpoints its warm per-shard
-    /// slots (`shard.<k>.slot` sections) and restores them bit-exactly.
+    /// The one supported layout, hand-built against its frozen field
+    /// order rather than through `write_sections`, so the test pins the
+    /// bytes and not the writer: it must restore to the live state, the
+    /// writer must emit exactly these bytes, and every neighbouring layout
+    /// (sharded, another version, the pre-`incr.format` v1) must fail
+    /// typed.
     #[test]
-    fn sharded_checkpoint_round_trips_warm_slots() {
-        let mut state = IncrementalState::new(
-            vec![
-                CategoryRecord {
-                    id: 0,
-                    tokens: vec!["tech".into()],
-                    level: 1,
-                    parent: None,
-                },
-                CategoryRecord {
-                    id: 1,
-                    tokens: vec!["sport".into()],
-                    level: 1,
-                    parent: None,
-                },
-            ],
-            Annotator::default(),
-            untrained_models(),
-            GiantConfig {
-                shards: 2,
-                ..GiantConfig::default()
-            },
-        );
-        let mut batch = DeltaBatch::new();
-        for (id, (title, cat)) in [
-            ("quanta corp launches panel", 0usize),
-            ("arena cup final tonight", 1usize),
-        ]
-        .iter()
-        .enumerate()
-        {
-            batch.docs.push(DocRecord {
-                id,
-                title: (*title).into(),
-                sentences: vec![(*title).into()],
-                leaf_category: *cat,
-                day: 1,
-            });
-        }
-        batch.clicks.push(ClickEvent {
-            query: "quanta panel".into(),
-            doc: 0,
-            count: 3.0,
-        });
-        batch.clicks.push(ClickEvent {
-            query: "arena cup".into(),
-            doc: 1,
-            count: 2.0,
-        });
-        state.fold(batch).expect("sharded tiny batch folds");
-        assert_eq!(
-            state.caches().shard_slots().len(),
-            2,
-            "a shards=2 fold must populate two cache slots"
-        );
-        let before = giant_ontology::io::dump(state.ontology());
-
-        let mut file = SectionFile::new();
-        state.checkpoint().add_sections(&mut file);
-        let reread = SectionFile::from_bytes(&file.to_bytes()).expect("container round trip");
-        let loaded = Checkpoint::from_sections(&reread).expect("v2 checkpoint parses");
-        assert_eq!(loaded.cfg().shards, 2);
-        assert_eq!(loaded.caches.shard_slots().len(), 2);
-        for (restored, live) in loaded
-            .caches
-            .shard_slots()
-            .iter()
-            .zip(state.caches().shard_slots())
-        {
-            assert_eq!(restored.query_map(), live.query_map());
-            assert_eq!(restored.doc_map(), live.doc_map());
-            assert_eq!(
-                restored.caches().cached_plans(),
-                live.caches().cached_plans(),
-                "slot walk caches must survive the round trip"
-            );
-            assert_eq!(restored.caches().cached_minings(), live.caches().cached_minings());
-        }
-        let restored = loaded.restore(Annotator::default(), untrained_models());
-        assert_eq!(restored.cache_sizes(), state.cache_sizes());
-        assert_eq!(giant_ontology::io::dump(restored.ontology()), before);
-    }
-
-    /// Backward compatibility: a checkpoint in the **v1** layout — no
-    /// `incr.format` section, `incr.meta` ending at `threads`, no shard
-    /// sections; byte-for-byte what every pre-sharding build wrote — must
-    /// still parse and restore, defaulting to `shards = 1` with no warm
-    /// slots. The section bytes are hand-built here against the frozen v1
-    /// field order rather than captured from a binary fixture, so the test
-    /// stays self-describing.
-    #[test]
-    fn v1_checkpoint_without_format_section_still_restores() {
+    fn frozen_layout_restores_and_every_other_layout_is_rejected() {
         let state = tiny_state();
         let before = giant_ontology::io::dump(state.ontology());
         let ck = state.checkpoint();
 
-        let mut file = SectionFile::new();
-        let mut w = Writer::new();
-        let cfg = ck.cfg();
-        w.f64(cfg.cluster.delta_v);
-        w.f64(cfg.cluster.walk.restart);
-        w.usize(cfg.cluster.walk.max_iter);
-        w.f64(cfg.cluster.walk.tol);
-        w.f64(cfg.cluster.walk.min_mass);
-        w.usize(cfg.cluster.max_queries);
-        w.usize(cfg.cluster.max_docs);
-        w.f64(cfg.cluster.min_overlap);
-        w.f64(cfg.delta_m);
-        w.f64(cfg.delta_g);
-        w.usize(cfg.subtitle_min_tokens);
-        w.usize(cfg.subtitle_max_tokens);
-        w.usize(cfg.csd_min_children);
-        w.usize(cfg.cpd_min_events);
-        w.f64(cfg.topic_min_support);
-        w.f64(cfg.correlate_threshold_percentile);
-        w.u64(cfg.seed);
-        w.usize(cfg.threads);
-        w.u64(ck.folds());
-        file.add_writer("incr.meta", w);
+        let build = |format: Option<(u32, u32)>, stored_shards: usize| {
+            let mut file = SectionFile::new();
+            if let Some((version, slots)) = format {
+                let mut w = Writer::new();
+                w.u32(version);
+                w.u32(slots);
+                file.add_writer("incr.format", w);
+            }
 
-        let mut w = Writer::new();
-        write_click_graph(&mut w, &ck.click_graph);
-        write_docs(&mut w, &ck.docs);
-        write_categories(&mut w, &ck.categories);
-        w.u32(ck.sessions.len() as u32);
-        for s in &ck.sessions {
-            w.str_slice(s);
-        }
-        w.u32(ck.entities.len() as u32);
-        for (tokens, ner) in &ck.entities {
-            w.str_slice(tokens);
-            write_ner(&mut w, *ner);
-        }
-        file.add_writer("incr.input", w);
+            let mut w = Writer::new();
+            let cfg = ck.cfg();
+            w.f64(cfg.cluster.delta_v);
+            w.f64(cfg.cluster.walk.restart);
+            w.usize(cfg.cluster.walk.max_iter);
+            w.f64(cfg.cluster.walk.tol);
+            w.f64(cfg.cluster.walk.min_mass);
+            w.usize(cfg.cluster.max_queries);
+            w.usize(cfg.cluster.max_docs);
+            w.f64(cfg.cluster.min_overlap);
+            w.f64(cfg.delta_m);
+            w.f64(cfg.delta_g);
+            w.usize(cfg.subtitle_min_tokens);
+            w.usize(cfg.subtitle_max_tokens);
+            w.usize(cfg.csd_min_children);
+            w.usize(cfg.cpd_min_events);
+            w.f64(cfg.topic_min_support);
+            w.f64(cfg.correlate_threshold_percentile);
+            w.u64(cfg.seed);
+            w.usize(cfg.threads);
+            w.usize(stored_shards);
+            w.u64(ck.folds());
+            file.add_writer("incr.meta", w);
 
-        let mut w = Writer::new();
-        ck.caches.write_checkpoint(&mut w);
-        file.add_writer("incr.caches", w);
+            let mut w = Writer::new();
+            write_click_graph(&mut w, &ck.click_graph);
+            write_docs(&mut w, &ck.docs);
+            write_categories(&mut w, &ck.categories);
+            w.u32(ck.sessions.len() as u32);
+            for s in &ck.sessions {
+                w.str_slice(s);
+            }
+            w.u32(ck.entities.len() as u32);
+            for (tokens, ner) in &ck.entities {
+                w.str_slice(tokens);
+                write_ner(&mut w, *ner);
+            }
+            file.add_writer("incr.input", w);
 
-        let mut w = Writer::new();
-        binio::write_ontology(&ck.ontology, &mut w);
-        file.add_writer("incr.ontology", w);
+            let mut w = Writer::new();
+            ck.caches.write_checkpoint(&mut w);
+            file.add_writer("incr.caches", w);
 
-        let reread = SectionFile::from_bytes(&file.to_bytes()).expect("container round trip");
-        let loaded = Checkpoint::from_sections(&reread).expect("v1 checkpoint parses");
-        assert_eq!(loaded.cfg().shards, 1, "v1 restores single-shard");
-        assert!(loaded.caches.shard_slots().is_empty());
+            let mut w = Writer::new();
+            binio::write_ontology(&ck.ontology, &mut w);
+            file.add_writer("incr.ontology", w);
+            file
+        };
+
+        let frozen = build(Some((2, 0)), 1);
+        let mut written = SectionFile::new();
+        ck.add_sections(&mut written);
+        assert_eq!(written.to_bytes(), frozen.to_bytes(), "the writer moved the on-disk bytes");
+
+        let reread = SectionFile::from_bytes(&frozen.to_bytes()).expect("container round trip");
+        let loaded = Checkpoint::from_sections(&reread).expect("the frozen layout parses");
         assert_eq!(loaded.folds(), ck.folds());
         let restored = loaded.restore(Annotator::default(), untrained_models());
         assert_eq!(restored.cache_sizes(), state.cache_sizes());
         assert_eq!(giant_ontology::io::dump(restored.ontology()), before);
-    }
 
-    /// An unknown future checkpoint version fails typed, not garbled.
-    #[test]
-    fn future_checkpoint_version_is_rejected() {
-        // The version gate fires before any other section is read, so a
-        // lone `incr.format` section exercises it.
-        let mut hacked = SectionFile::new();
-        let mut w = Writer::new();
-        w.u32(CHECKPOINT_VERSION + 1);
-        w.u32(0);
-        hacked.add_writer("incr.format", w);
-        let err = Checkpoint::from_sections(&hacked).expect_err("future version must fail");
-        assert!(
-            err.message.contains("unsupported checkpoint format"),
-            "got: {}",
-            err.message
-        );
+        for (what, file, expect) in [
+            ("slot count 2", build(Some((2, 2)), 1), "sharded checkpoints are no longer supported"),
+            ("stored shards 4", build(Some((2, 0)), 4), "sharded checkpoints are no longer supported"),
+            ("version 3", build(Some((3, 0)), 1), "unsupported checkpoint format v3"),
+            ("no incr.format", build(None, 1), "unsupported checkpoint format v1"),
+            // A slot count no machine could allocate for is refused like
+            // any other, before anything is sized from it.
+            ("slot count u32::MAX", build(Some((2, u32::MAX)), 1), "slot count = 4294967295"),
+        ] {
+            let err = Checkpoint::from_sections(&file).expect_err(what);
+            assert!(err.message.contains(expect), "{what}: got {}", err.message);
+        }
     }
 
     #[test]

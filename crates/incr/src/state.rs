@@ -318,9 +318,8 @@ impl IncrementalState {
         (self.caches.cached_plans(), self.caches.cached_minings())
     }
 
-    /// The warm caches — checkpoint capture reads them whole; hosts can
-    /// inspect occupancy (e.g. per-shard slots after a sharded fold).
-    pub fn caches(&self) -> &PipelineCaches {
+    /// The warm caches, for checkpoint capture.
+    pub(crate) fn caches(&self) -> &PipelineCaches {
         &self.caches
     }
 

@@ -390,7 +390,15 @@ fn scan(bytes: &[u8]) -> Result<Scan, WalError> {
                 });
             }
         }
-        expect_seq = Some(seq + 1);
+        // A frame no successor can follow was never written by `append`.
+        let Some(next) = seq.checked_add(1) else {
+            return Ok(Scan {
+                entries,
+                valid_end: off as u64,
+                stopped: Some((off as u64, format!("sequence number {seq} has no successor"), false)),
+            });
+        };
+        expect_seq = Some(next);
         let mut r = Reader::new(payload);
         let batch = read_batch(&mut r)?;
         r.expect_exhausted()?;
@@ -504,7 +512,9 @@ impl Wal {
             file.sync_data()?;
         }
         file.seek(SeekFrom::Start(scan.valid_end))?;
-        let next_seq = scan.entries.last().map(|e| e.seq + 1).unwrap_or(1);
+        let next_seq = scan.entries.last().map_or(1, |e| {
+            e.seq.checked_add(1).expect("scan admits no entry without a successor")
+        });
         Ok((
             Self {
                 file,
@@ -535,6 +545,12 @@ impl Wal {
         frame.extend_from_slice(&frame_checksum(seq, &payload).to_le_bytes());
         frame.extend_from_slice(&payload);
         let start = self.file.stream_position()?;
+        // Refused before any byte is written, like an oversized payload: a
+        // frame carrying the last sequence number could never be reopened.
+        let next_seq = seq.checked_add(1).ok_or_else(|| WalError::Corrupt {
+            offset: start,
+            reason: format!("sequence space exhausted at {seq}"),
+        })?;
         // Split the write so the fault harness can abort with a genuinely
         // torn frame on disk (prefix written, remainder lost).
         let mid = frame.len() / 2;
@@ -542,7 +558,7 @@ impl Wal {
         binio::crash_point("wal.append.mid");
         self.file.write_all(&frame[mid..])?;
         binio::crash_point("wal.append.pre-sync");
-        self.next_seq += 1;
+        self.next_seq = next_seq;
         self.last_frame_start = start;
         self.pending += 1;
         match self.sync {
@@ -824,6 +840,41 @@ mod tests {
         let (_, entries) = Wal::open(&path, SyncMode::Strict).unwrap();
         assert_eq!(entries.len(), 2);
         assert_eq!(encode(&entries[1].batch), encode(&batch(5)));
+    }
+
+    #[test]
+    fn last_sequence_number_is_corrupt_on_disk_and_refused_on_append() {
+        // A well-formed frame (valid checksum) carrying seq = u64::MAX:
+        // `seq + 1` used to overflow while scanning it.
+        let path = tmp("maxseq.wal");
+        let payload = encode(&batch(0));
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&WAL_MAGIC);
+        bytes.extend_from_slice(&WAL_FORMAT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&u64::MAX.to_le_bytes());
+        bytes.extend_from_slice(&frame_checksum(u64::MAX, &payload).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        std::fs::write(&path, &bytes).unwrap();
+
+        match Wal::open(&path, SyncMode::Strict) {
+            Err(WalError::Corrupt { offset, .. }) => assert_eq!(offset, HEADER_LEN),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        let (mut wal, entries, trunc) = Wal::recover(&path, SyncMode::Strict).unwrap();
+        assert!(entries.is_empty());
+        assert_eq!(trunc.expect("recovery reports the drop").offset, HEADER_LEN);
+        assert_eq!(wal.append(&batch(1)).unwrap(), 1, "the truncated log is usable");
+        drop(wal);
+        let (_, entries) = Wal::open(&path, SyncMode::Strict).unwrap();
+        assert_eq!(entries.len(), 1);
+
+        // The writer never produces such a frame: the append that would
+        // need it is refused with the log untouched.
+        let mut wal = Wal::create(&path, SyncMode::Strict, u64::MAX).unwrap();
+        assert!(matches!(wal.append(&batch(2)), Err(WalError::Corrupt { .. })));
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), HEADER_LEN);
+        assert_eq!(wal.next_seq(), u64::MAX);
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //! | `Request::Stats`, any load   | [`Reply::Stats`] inline (never shed) |
 
 use giant_apps::serving::{OntologyService, ServeError, ServeRequest};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -125,9 +125,31 @@ struct Shared {
     not_empty: Condvar,
     stop: AtomicBool,
     stats: ServerStats,
-    /// Read halves of live connections, so shutdown can unblock readers.
-    readers: Mutex<Vec<TcpStream>>,
-    reader_handles: Mutex<Vec<JoinHandle<()>>>,
+    readers: Mutex<Readers>,
+}
+
+/// The reader threads, keyed by connection id. A reader that returns moves
+/// its own entry from `live` to `finished`, so a closed connection costs
+/// the server nothing once its handle is reaped.
+#[derive(Default)]
+struct Readers {
+    /// Per open connection: a clone of its socket, so shutdown can unblock
+    /// the reader, and the reader's handle.
+    live: HashMap<u64, (TcpStream, JoinHandle<()>)>,
+    /// Readers that have returned; joined at the next accept or shutdown.
+    finished: Vec<JoinHandle<()>>,
+}
+
+impl Shared {
+    /// Called by reader `id` as its last act: closes the server's clone of
+    /// the socket and queues the handle for joining. After shutdown has
+    /// taken the entry there is nothing left to do.
+    fn retire_reader(&self, id: u64) {
+        let mut readers = self.readers.lock().expect("readers poisoned");
+        if let Some((_socket, handle)) = readers.live.remove(&id) {
+            readers.finished.push(handle);
+        }
+    }
 }
 
 /// A running server. Dropping it (or calling [`Server::shutdown`])
@@ -157,8 +179,7 @@ impl Server {
             not_empty: Condvar::new(),
             stop: AtomicBool::new(false),
             stats: ServerStats::new(queue_cap),
-            readers: Mutex::new(Vec::new()),
-            reader_handles: Mutex::new(Vec::new()),
+            readers: Mutex::new(Readers::default()),
         });
 
         let worker_handles = (0..cfg.workers.max(1))
@@ -211,28 +232,24 @@ impl Server {
 
     fn stop_and_join(&mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
-        // Unblock the accept thread with a throwaway connection.
+        // Unblock the accept thread with a throwaway connection. Joining
+        // it first means no reader is registered after the sweep below.
         let _ = TcpStream::connect(self.local_addr);
-        // Unblock reader threads by shutting their sockets down.
-        for s in self.shared.readers.lock().expect("readers poisoned").iter() {
-            let _ = s.shutdown(Shutdown::Both);
-        }
-        // Unblock workers parked on the condvar.
-        self.shared.not_empty.notify_all();
         if let Some(h) = self.accept_handle.take() {
             let _ = h.join();
         }
+        // Unblock reader threads by shutting their sockets down.
+        let Readers { live, finished } =
+            std::mem::take(&mut *self.shared.readers.lock().expect("readers poisoned"));
+        for (socket, _) in live.values() {
+            let _ = socket.shutdown(Shutdown::Both);
+        }
+        // Unblock workers parked on the condvar.
+        self.shared.not_empty.notify_all();
         for h in self.worker_handles.drain(..) {
             let _ = h.join();
         }
-        let handles = std::mem::take(
-            &mut *self
-                .shared
-                .reader_handles
-                .lock()
-                .expect("reader handles poisoned"),
-        );
-        for h in handles {
+        for h in live.into_values().map(|(_, h)| h).chain(finished) {
             let _ = h.join();
         }
     }
@@ -247,36 +264,34 @@ impl Drop for Server {
 }
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    for stream in listener.incoming() {
+    for (id, stream) in (0u64..).zip(listener.incoming()) {
         if shared.stop.load(Ordering::SeqCst) {
             break;
         }
         let Ok(stream) = stream else { continue };
-        let read_half = match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => continue,
+        let (Ok(read_half), Ok(unblock)) = (stream.try_clone(), stream.try_clone()) else {
+            continue;
         };
-        shared
-            .readers
-            .lock()
-            .expect("readers poisoned")
-            .push(match stream.try_clone() {
-                Ok(s) => s,
-                Err(_) => continue,
-            });
         let conn = Arc::new(Conn {
             stream: Mutex::new(stream),
         });
         let reader_shared = Arc::clone(shared);
+        // The lock is held across the spawn so the reader cannot retire
+        // before it is registered.
+        let mut readers = shared.readers.lock().expect("readers poisoned");
+        let finished = std::mem::take(&mut readers.finished);
         if let Ok(handle) = std::thread::Builder::new()
             .name("giant-net-reader".into())
-            .spawn(move || reader_loop(read_half, conn, &reader_shared))
+            .spawn(move || {
+                reader_loop(read_half, conn, &reader_shared);
+                reader_shared.retire_reader(id);
+            })
         {
-            shared
-                .reader_handles
-                .lock()
-                .expect("reader handles poisoned")
-                .push(handle);
+            readers.live.insert(id, (unblock, handle));
+        }
+        drop(readers);
+        for h in finished {
+            let _ = h.join();
         }
     }
 }

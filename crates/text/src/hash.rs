@@ -1,7 +1,5 @@
 //! FNV-1a 64-bit: the workspace's one dependency-free, deterministic hash
-//! (checkpoint/WAL/wire checksums in `giant-ontology`, shard tie-breaking
-//! in `giant-graph`). It lives here because this is the only crate below
-//! both.
+//! (the checkpoint/WAL/wire checksums built on `giant-ontology`'s `binio`).
 
 /// FNV-1a over `bytes`.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {

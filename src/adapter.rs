@@ -189,13 +189,12 @@ impl GiantSetup {
     /// concatenated into one corpus with category- and doc-id offsets and
     /// one merged annotator. Tiles are generated one at a time and dropped
     /// after conversion, so peak memory is one tile plus the flat records —
-    /// the path the shard-throughput bench uses to grow the corpus ~2
-    /// orders of magnitude past a single world's template capacity.
+    /// the path the repo benchmark's cold build uses to grow the corpus
+    /// past a single world's template capacity.
     ///
-    /// Each tile owns its own level-1 category roots, so the sharded
-    /// pipeline's document-led partition aligns shards with tile groups,
-    /// while repeated concept surfaces across tiles (the domain templates
-    /// repeat) keep genuine cross-shard queries in the click graph.
+    /// Each tile owns its own level-1 category roots, while repeated
+    /// concept surfaces across tiles (the domain templates repeat) keep
+    /// queries that click into several tiles in the click graph.
     pub fn scaled_corpus_stream(
         base: WorldConfig,
         clicks: &ClickConfig,

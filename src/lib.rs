@@ -20,7 +20,6 @@
 //! | [`ontology`] | the Attention Ontology store (DAG invariants, stats, IO) |
 //! | [`data`] | the synthetic world, corpus, click logs, CMD/EMD datasets |
 //! | [`mining`] | QTIG, GCTSP-Net, ATSP decoding, the full pipeline (`giant-core`) |
-//! | [`baselines`] | TextRank, AutoPhrase, Match/Align, LSTM-CRF, TextSummary + metrics |
 //! | [`apps`] | story trees, document tagging, Duet, query understanding, feed simulator |
 //! | [`incr`] | incremental ontology maintenance: delta batches, dirty-cluster re-mining, ontology deltas |
 //! | [`net`] | network front door: checksummed binary wire protocol, request-coalescing server, bounded admission, latency stats |
@@ -51,7 +50,6 @@
 #![forbid(unsafe_code)]
 
 pub use giant_apps as apps;
-pub use giant_baselines as baselines;
 pub use giant_core as mining;
 pub use giant_data as data;
 pub use giant_graph as graph;

@@ -5,17 +5,10 @@
 //! to parallelize: each query's attention is attributed by exactly one
 //! work item, in plan order.
 //!
-//! The same file covers the K-way *shard* partition (`giant_graph::shard`),
-//! which makes the sharded pipeline safe: shards disjointly cover queries
-//! **and** docs, the boundary report accounts for every severed edge
-//! exactly, and the whole split is independent of click/intern order.
-//!
 //! Determinism: the vendored proptest runner derives every case from a
 //! fixed workspace seed, so CI replays the same stream.
 
-use giant::graph::{
-    partition, plan_clusters, plan_clusters_parallel, ClickGraph, ClusterConfig, DocId,
-};
+use giant::graph::{plan_clusters, plan_clusters_parallel, ClickGraph, ClusterConfig, DocId};
 use giant::text::StopWords;
 use proptest::prelude::*;
 
@@ -139,190 +132,5 @@ proptest! {
             prop_assert_eq!(x.cluster.query_ids(), y.cluster.query_ids());
             prop_assert_eq!(x.cluster.doc_ids(), y.cluster.doc_ids());
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// K-way shard partition (`giant_graph::shard::partition`).
-// ---------------------------------------------------------------------------
-
-/// Doc-shard hints for a 12-doc universe, folded into `0..k`.
-fn fold_hints(raw: &[usize], k: usize) -> Vec<usize> {
-    raw.iter().map(|&h| h % k).collect()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The K shards disjointly cover every query and every doc of the
-    /// universe, with strictly ascending id maps, and each shard graph
-    /// contains only edges whose endpoints were both assigned to it.
-    #[test]
-    fn shards_disjointly_cover_queries_and_docs(
-        triples in proptest::collection::vec(
-            (0usize..8, 0usize..8, 0usize..12, 1.0f64..50.0),
-            1..40,
-        ),
-        raw_hints in proptest::collection::vec(0usize..4, 12),
-        k in 1usize..5,
-    ) {
-        let g = build_graph(&triples);
-        let hints = fold_hints(&raw_hints, k);
-        let plan = partition(&g, &hints, k);
-        prop_assert_eq!(plan.shards.len(), k);
-
-        let mut query_owner = vec![usize::MAX; g.n_queries()];
-        let mut doc_owner = vec![usize::MAX; hints.len()];
-        for (s, shard) in plan.shards.iter().enumerate() {
-            prop_assert!(shard.query_map.windows(2).all(|w| w[0] < w[1]));
-            prop_assert!(shard.doc_map.windows(2).all(|w| w[0] < w[1]));
-            for &q in &shard.query_map {
-                prop_assert_eq!(query_owner[q as usize], usize::MAX,
-                    "query {} in two shards", q);
-                query_owner[q as usize] = s;
-            }
-            for &d in &shard.doc_map {
-                prop_assert_eq!(doc_owner[d as usize], usize::MAX,
-                    "doc {} in two shards", d);
-                doc_owner[d as usize] = s;
-            }
-        }
-        for (q, &owner) in query_owner.iter().enumerate() {
-            prop_assert!(owner != usize::MAX, "query {} unassigned", q);
-            prop_assert_eq!(owner, plan.query_shard[q]);
-        }
-        for (d, &owner) in doc_owner.iter().enumerate() {
-            prop_assert!(owner != usize::MAX, "doc {} unassigned", d);
-            prop_assert_eq!(owner, plan.doc_shard[d]);
-        }
-
-        // Every edge of a shard graph stays inside the shard, and maps back
-        // to an edge of the global graph with the exact same weight.
-        for (s, shard) in plan.shards.iter().enumerate() {
-            for lq in shard.graph.query_ids() {
-                let gq = shard.query_map[lq.index()] as usize;
-                prop_assert_eq!(plan.query_shard[gq], s);
-                prop_assert_eq!(
-                    shard.graph.query_text(lq),
-                    g.query_text(giant::graph::QueryId(gq as u32))
-                );
-                for &(ld, c) in shard.graph.docs_of(lq) {
-                    let gd = shard.doc_map[ld.index()];
-                    prop_assert_eq!(plan.doc_shard[gd as usize], s);
-                    let global_row = g.docs_of(giant::graph::QueryId(gq as u32));
-                    prop_assert!(
-                        global_row.iter().any(|&(d, gc)|
-                            d == DocId(gd) && gc.to_bits() == c.to_bits()),
-                        "shard edge not found in global graph"
-                    );
-                }
-            }
-        }
-    }
-
-    /// The boundary report is exact: a global edge is reported iff its
-    /// endpoints landed on different shards, every edge is either kept by
-    /// exactly one shard or reported (never both, never neither), and the
-    /// severed mass is the sum of reported clicks.
-    #[test]
-    fn boundary_report_accounts_for_every_severed_edge(
-        triples in proptest::collection::vec(
-            (0usize..8, 0usize..8, 0usize..12, 1.0f64..50.0),
-            1..40,
-        ),
-        raw_hints in proptest::collection::vec(0usize..4, 12),
-        k in 1usize..5,
-    ) {
-        let g = build_graph(&triples);
-        let hints = fold_hints(&raw_hints, k);
-        let plan = partition(&g, &hints, k);
-
-        let reported: std::collections::HashSet<(u32, u32)> = plan
-            .boundary
-            .edges
-            .iter()
-            .map(|e| (e.query.0, e.doc.0))
-            .collect();
-        prop_assert_eq!(reported.len(), plan.boundary.edges.len(),
-            "boundary edges must be unique");
-
-        let mut total_edges = 0usize;
-        for q in g.query_ids() {
-            for &(d, c) in g.docs_of(q) {
-                total_edges += 1;
-                let spans = plan.query_shard[q.index()] != plan.doc_shard[d.index()];
-                prop_assert_eq!(
-                    reported.contains(&(q.0, d.0)),
-                    spans,
-                    "edge ({}, {}) misreported", q.0, d.0
-                );
-                if spans {
-                    let e = plan.boundary.edges.iter()
-                        .find(|e| e.query == q && e.doc == d).unwrap();
-                    prop_assert_eq!(e.clicks.to_bits(), c.to_bits());
-                    prop_assert_eq!(e.query_shard, plan.query_shard[q.index()]);
-                    prop_assert_eq!(e.doc_shard, plan.doc_shard[d.index()]);
-                }
-            }
-        }
-        let kept: usize = plan.shards.iter()
-            .map(|s| s.graph.query_ids().map(|q| s.graph.docs_of(q).len()).sum::<usize>())
-            .sum();
-        prop_assert_eq!(kept + plan.boundary.edges.len(), total_edges,
-            "every edge is kept by one shard xor severed");
-        // fold from 0.0, not `.sum()`: f64's Sum identity is -0.0, which
-        // differs bit-wise from the report's 0.0-seeded accumulation when
-        // no edge was severed.
-        let mass: f64 = plan.boundary.edges.iter().fold(0.0, |a, e| a + e.clicks);
-        prop_assert_eq!(mass.to_bits(), plan.boundary.mass.to_bits());
-        prop_assert!(plan.boundary.severed_fraction() <= 1.0 + f64::EPSILON);
-    }
-
-    /// Assignment is a pure function of graph *content*: building the same
-    /// distinct (query, doc, clicks) set in reverse order — different
-    /// intern ids, different edge-row orders, different f64 accumulation
-    /// orders — yields the same shard per query text and the same severed
-    /// edge multiset.
-    #[test]
-    fn partition_is_click_order_independent(
-        triples in proptest::collection::vec(
-            (0usize..8, 0usize..8, 0usize..12, 1.0f64..50.0),
-            1..30,
-        ),
-        raw_hints in proptest::collection::vec(0usize..4, 12),
-        k in 1usize..5,
-    ) {
-        // Distinct (query, doc) pairs so both insertion orders produce the
-        // same graph content (duplicate pairs would accumulate weight in
-        // arrival order and change the content itself).
-        let mut seen = std::collections::HashSet::new();
-        let distinct: Vec<_> = triples
-            .into_iter()
-            .filter(|&(w1, w2, d, _)| seen.insert((w1 % 8, w2 % 8, d % 12)))
-            .collect();
-        let reversed: Vec<_> = distinct.iter().rev().copied().collect();
-        let g1 = build_graph(&distinct);
-        let g2 = build_graph(&reversed);
-        let hints = fold_hints(&raw_hints, k);
-        let p1 = partition(&g1, &hints, k);
-        let p2 = partition(&g2, &hints, k);
-
-        for q in g1.query_ids() {
-            let text = g1.query_text(q);
-            let q2 = g2.query_id(text).expect("same content");
-            prop_assert_eq!(
-                p1.query_shard[q.index()],
-                p2.query_shard[q2.index()],
-                "assignment of {:?} depends on click order", text
-            );
-        }
-        let severed = |p: &giant::graph::ShardPlan, g: &ClickGraph| {
-            let mut v: Vec<(String, u32, u64)> = p.boundary.edges.iter()
-                .map(|e| (g.query_text(e.query).to_owned(), e.doc.0, e.clicks.to_bits()))
-                .collect();
-            v.sort();
-            v
-        };
-        prop_assert_eq!(severed(&p1, &g1), severed(&p2, &g2));
     }
 }

@@ -109,9 +109,9 @@ proptest! {
         pred in proptest::collection::vec("[a-c]{1,2}", 0..6),
         gold in proptest::collection::vec("[a-c]{1,2}", 1..6),
     ) {
-        let f1 = giant::baselines::token_f1(&pred, &gold);
+        let f1 = giant_baselines::token_f1(&pred, &gold);
         prop_assert!((0.0..=1.0).contains(&f1));
-        let em = giant::baselines::exact_match(&pred, &gold);
+        let em = giant_baselines::exact_match(&pred, &gold);
         prop_assert!(em == 0.0 || em == 1.0);
         if em == 1.0 {
             prop_assert!((f1 - 1.0).abs() < 1e-12, "EM=1 implies F1=1");
