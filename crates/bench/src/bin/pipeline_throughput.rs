@@ -8,8 +8,9 @@
 //!
 //! ## Reading the numbers
 //!
-//! Only `mine.plan` and `mine.execute` parallelize; every other stage is
-//! sequential by design (the merge order *is* the determinism contract).
+//! `mine.plan`, `mine.execute` and the role inference inside
+//! `event_elements` parallelize; every other stage is sequential by design
+//! (the merge order *is* the determinism contract).
 //! The earlier ≥4-worker regression (0.91× at 4 threads vs 1.06× at 2 on a
 //! 2-vCPU container) was oversubscription: more busy workers than hardware
 //! threads turn the memory-bound walk kernel into a context-switch bath.

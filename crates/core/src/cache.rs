@@ -151,10 +151,14 @@ pub(crate) struct TextCache {
 
 impl TextCache {
     /// Extends the cache to cover `input`'s docs and entities. New docs
-    /// are tokenized and scanned in full; existing docs are re-scanned
-    /// only against entities appended since the last sync (matches are
-    /// pushed in ascending entity order, so each presence list stays
-    /// exactly what a full scan would produce).
+    /// are tokenized and matched against the full dictionary; existing docs
+    /// only against entities appended since the last sync (all larger than
+    /// the ids already listed, so each presence list stays exactly what a
+    /// full scan would produce).
+    ///
+    /// A sentence's entities are found through a first-token → entity-ids
+    /// index and verified token by token, instead of testing every entity
+    /// against every sentence.
     pub(crate) fn sync(&mut self, input: &PipelineInput) {
         let old_docs = self.titles.len();
         for d in &input.docs[old_docs..] {
@@ -164,40 +168,70 @@ impl TextCache {
             self.sentences
                 .push(d.sentences.iter().map(|s| giant_text::tokenize(s)).collect());
         }
-        let n_ent = input.entities.len();
+        let entities = &input.entities;
         // Existing docs: only the appended entity tail is new.
-        if n_ent > self.entities_seen {
-            for (doc, rows) in self.entity_presence.iter_mut().enumerate() {
-                for (si, present) in rows.iter_mut().enumerate() {
-                    let sent = &self.sentences[doc][si];
-                    for (ei, (etoks, _)) in
-                        input.entities.iter().enumerate().take(n_ent).skip(self.entities_seen)
-                    {
-                        if crate::util::contains_seq(sent, etoks).is_some() {
-                            present.push(ei as u32);
-                        }
-                    }
+        if entities.len() > self.entities_seen {
+            let tail = first_token_index(entities, self.entities_seen);
+            for (rows, sentences) in self.entity_presence.iter_mut().zip(&self.sentences) {
+                for (present, sent) in rows.iter_mut().zip(sentences) {
+                    push_present(&tail, entities, sent, present);
                 }
             }
         }
-        // New docs: scan the full dictionary.
-        for doc in self.entity_presence.len()..self.sentences.len() {
-            let rows = self.sentences[doc]
-                .iter()
-                .map(|sent| {
-                    input
-                        .entities
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, (etoks, _))| crate::util::contains_seq(sent, etoks).is_some())
-                        .map(|(ei, _)| ei as u32)
-                        .collect()
-                })
-                .collect();
-            self.entity_presence.push(rows);
+        // New docs: the full dictionary.
+        if self.entity_presence.len() < self.sentences.len() {
+            let all = first_token_index(entities, 0);
+            for sentences in &self.sentences[self.entity_presence.len()..] {
+                let rows = sentences
+                    .iter()
+                    .map(|sent| {
+                        let mut present = Vec::new();
+                        push_present(&all, entities, sent, &mut present);
+                        present
+                    })
+                    .collect();
+                self.entity_presence.push(rows);
+            }
         }
-        self.entities_seen = n_ent;
+        self.entities_seen = entities.len();
     }
+}
+
+type Entity = (Vec<String>, giant_text::NerTag);
+
+/// First token → ascending ids of the entities `from..` that start with it.
+/// An entity with no tokens is in no list: it occurs in no sentence.
+fn first_token_index(entities: &[Entity], from: usize) -> HashMap<&str, Vec<u32>> {
+    let mut index: HashMap<&str, Vec<u32>> = HashMap::new();
+    for (ei, (tokens, _)) in entities.iter().enumerate().skip(from) {
+        if let Some(first) = tokens.first() {
+            index.entry(first.as_str()).or_default().push(ei as u32);
+        }
+    }
+    index
+}
+
+/// Appends to `present`, ascending, the indexed entities whose token
+/// sequence occurs in `sent` — those `contains_seq` accepts. Every id in
+/// `index` must exceed every id already in `present`.
+fn push_present(
+    index: &HashMap<&str, Vec<u32>>,
+    entities: &[Entity],
+    sent: &[String],
+    present: &mut Vec<u32>,
+) {
+    let old = present.len();
+    for (at, token) in sent.iter().enumerate() {
+        for &ei in index.get(token.as_str()).map_or(&[][..], Vec::as_slice) {
+            if sent[at..].starts_with(&entities[ei as usize].0) {
+                present.push(ei);
+            }
+        }
+    }
+    // An entity occurring twice was pushed twice, and positions interleave
+    // the ids.
+    present[old..].sort_unstable();
+    present.dedup();
 }
 
 /// Memo of `find_entity` (first dictionary entity contained in a query)
@@ -286,5 +320,113 @@ impl PipelineCaches {
     /// Number of cached cluster minings.
     pub fn cached_minings(&self) -> usize {
         self.mine.len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pipeline::DocRecord;
+    use giant_text::{Annotator, NerTag};
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    const WORDS: [&str; 6] = ["neon", "sea", "quanta", "corp", "q7", "launch"];
+
+    fn words(rng: &mut StdRng, len: usize) -> Vec<String> {
+        (0..len)
+            .map(|_| WORDS[rng.random_range(0..WORDS.len())].to_owned())
+            .collect()
+    }
+
+    fn random_docs(rng: &mut StdRng, from: usize, n: usize) -> Vec<DocRecord> {
+        (from..from + n)
+            .map(|id| DocRecord {
+                id,
+                title: words(rng, 3).join(" "),
+                sentences: (0..rng.random_range(0..4))
+                    .map(|_| {
+                        let len = rng.random_range(0..9);
+                        words(rng, len).join(" ")
+                    })
+                    .collect(),
+                leaf_category: 0,
+                day: 0,
+            })
+            .collect()
+    }
+
+    /// Over six words, entities of one to four tokens share first tokens
+    /// and repeat whole surfaces; one is longer than any sentence and one
+    /// has no tokens.
+    fn random_entities(rng: &mut StdRng, n: usize) -> Vec<Entity> {
+        let mut entities: Vec<Entity> = (0..n)
+            .map(|_| {
+                let len = rng.random_range(1..5);
+                (words(rng, len), NerTag::None)
+            })
+            .collect();
+        entities.push((words(rng, 12), NerTag::None));
+        entities.push((Vec::new(), NerTag::None));
+        entities
+    }
+
+    /// The presence lists by definition: every entity tried on every
+    /// sentence with `contains_seq`.
+    fn brute_force(input: &PipelineInput) -> Vec<Vec<Vec<u32>>> {
+        input
+            .docs
+            .iter()
+            .map(|d| {
+                d.sentences
+                    .iter()
+                    .map(|s| {
+                        let sent = giant_text::tokenize(s);
+                        (0..input.entities.len() as u32)
+                            .filter(|&ei| {
+                                let etoks = &input.entities[ei as usize].0;
+                                crate::util::contains_seq(&sent, etoks).is_some()
+                            })
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn indexed_entity_presence_equals_the_full_scan() {
+        for seed in 0..24 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut input = PipelineInput {
+                click_graph: ClickGraph::new(),
+                docs: random_docs(&mut rng, 0, 20),
+                categories: Vec::new(),
+                sessions: Vec::new(),
+                entities: random_entities(&mut rng, 30),
+                annotator: Annotator::default(),
+            };
+            let mut cache = TextCache::default();
+            cache.sync(&input);
+            let first = brute_force(&input);
+            assert_eq!(cache.entity_presence, first, "seed {seed}: first sync");
+            assert!(
+                first.iter().flatten().any(|present| present.len() > 1),
+                "seed {seed}: some sentence holds several entities"
+            );
+
+            // The dictionary and the corpus both grow; old docs see only the
+            // appended tail, new docs the whole dictionary.
+            let more = random_entities(&mut rng, 15);
+            input.entities.extend(more);
+            input.docs.extend(random_docs(&mut rng, 20, 10));
+            cache.sync(&input);
+            assert_eq!(cache.entity_presence, brute_force(&input), "seed {seed}: second sync");
+            assert_eq!(cache.entities_seen, input.entities.len());
+
+            // Nothing new: a sync is an identity.
+            cache.sync(&input);
+            assert_eq!(cache.entity_presence, brute_force(&input), "seed {seed}: idle sync");
+        }
     }
 }

@@ -12,14 +12,16 @@
 //! (n_classes = 4, §3.2) — "we reuse our GCTSP-Net and train it without
 //! ATSP-decoding".
 
-use crate::qtig::Qtig;
+use crate::qtig::{Qtig, QtigNode};
 use giant_nn::{
-    act, loss, Adam, EmbeddingLayer, Linear, Matrix, Parameter, RgcnLayer, TypedEdge,
+    act, loss, Adam, EdgeGroups, EmbeddingLayer, FrozenRgcn, Linear, Matrix, Parameter, RgcnLayer,
+    TypedEdge,
 };
 use giant_text::ner::NerTag;
 use giant_text::pos::PosTag;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::OnceLock;
 
 /// GCTSP-Net hyper-parameters (defaults follow §5.2).
 #[derive(Debug, Clone, Copy)]
@@ -79,6 +81,24 @@ pub struct GctspNet {
     head: Linear,
     /// Cached pre-activation inputs of each R-GCN layer (for ReLU backward).
     cache_pre: Vec<Matrix>,
+    /// Inference weights of `layers`, frozen by the first inference after a
+    /// weight change. Every `&mut self` method drops them, so they can never
+    /// be stale.
+    frozen: OnceLock<Vec<FrozenRgcn>>,
+}
+
+/// Workspace of the inference kernel. One per worker, reused from graph to
+/// graph of any size: nothing an inference leaves behind is read by the
+/// next, and after the largest graph nothing is allocated.
+#[derive(Debug, Default)]
+pub struct InferScratch {
+    groups: EdgeGroups,
+    /// Activations entering the current layer, row-major.
+    h: Vec<f64>,
+    /// Activations leaving it; swapped with `h` after each layer.
+    h_next: Vec<f64>,
+    work: Vec<f64>,
+    logits: Vec<f64>,
 }
 
 impl GctspNet {
@@ -114,6 +134,7 @@ impl GctspNet {
             layers,
             head,
             cache_pre: Vec::new(),
+            frozen: OnceLock::new(),
         }
     }
 
@@ -122,35 +143,41 @@ impl GctspNet {
         &self.cfg
     }
 
+    /// Embedding ids of one node, in feature order: POS, NER, stop-word
+    /// flag, character-count bucket, sequential-id bucket.
+    fn node_feature_ids(n: &QtigNode) -> [usize; 5] {
+        [
+            n.pos.index(),
+            n.ner.index(),
+            usize::from(n.is_stop),
+            n.char_count.min(CHAR_BUCKETS - 1),
+            n.seq_id.min(SEQ_BUCKETS - 1),
+        ]
+    }
+
     fn feature_ids(qtig: &Qtig) -> [Vec<usize>; 5] {
-        let mut pos = Vec::with_capacity(qtig.n_nodes());
-        let mut ner = Vec::with_capacity(qtig.n_nodes());
-        let mut stop = Vec::with_capacity(qtig.n_nodes());
-        let mut chars = Vec::with_capacity(qtig.n_nodes());
-        let mut seq = Vec::with_capacity(qtig.n_nodes());
+        let mut ids: [Vec<usize>; 5] =
+            std::array::from_fn(|_| Vec::with_capacity(qtig.n_nodes()));
         for n in &qtig.nodes {
-            pos.push(n.pos.index());
-            ner.push(n.ner.index());
-            stop.push(usize::from(n.is_stop));
-            chars.push(n.char_count.min(CHAR_BUCKETS - 1));
-            seq.push(n.seq_id.min(SEQ_BUCKETS - 1));
+            for (column, id) in ids.iter_mut().zip(Self::node_feature_ids(n)) {
+                column.push(id);
+            }
         }
-        [pos, ner, stop, chars, seq]
+        ids
     }
 
-    fn edges(qtig: &Qtig) -> Vec<TypedEdge> {
-        qtig.edges
-            .iter()
-            .map(|&(src, dst, rel)| TypedEdge {
-                src,
-                dst,
-                rel: rel.index(),
-            })
-            .collect()
+    fn edges(qtig: &Qtig) -> impl Iterator<Item = TypedEdge> + '_ {
+        qtig.edges.iter().map(|&(src, dst, rel)| TypedEdge {
+            src,
+            dst,
+            rel: rel.index(),
+        })
     }
 
-    /// Forward pass with caching; returns per-node logits `(N × n_classes)`.
+    /// Training forward pass with caching; returns per-node logits
+    /// `(N × n_classes)`. The oracle the inference kernel is tested against.
     pub fn forward(&mut self, qtig: &Qtig) -> Matrix {
+        self.frozen.take();
         let [pos, ner, stop, chars, seq] = Self::feature_ids(qtig);
         let x = Matrix::hcat(
             &Matrix::hcat(
@@ -159,7 +186,7 @@ impl GctspNet {
             ),
             &self.emb_seq.forward(&seq),
         );
-        let edges = Self::edges(qtig);
+        let edges: Vec<TypedEdge> = Self::edges(qtig).collect();
         self.cache_pre.clear();
         let mut h = x;
         for (li, layer) in self.layers.iter_mut().enumerate() {
@@ -174,37 +201,53 @@ impl GctspNet {
         self.head.forward(&h)
     }
 
-    /// Inference-only forward.
-    pub fn forward_inference(&self, qtig: &Qtig) -> Matrix {
-        let [pos, ner, stop, chars, seq] = Self::feature_ids(qtig);
-        let x = Matrix::hcat(
-            &Matrix::hcat(
-                &Matrix::hcat(
-                    &self.emb_pos.forward_inference(&pos),
-                    &self.emb_ner.forward_inference(&ner),
-                ),
-                &Matrix::hcat(
-                    &self.emb_stop.forward_inference(&stop),
-                    &self.emb_char.forward_inference(&chars),
-                ),
-            ),
-            &self.emb_seq.forward_inference(&seq),
-        );
-        let edges = Self::edges(qtig);
-        let mut h = x;
-        for (li, layer) in self.layers.iter().enumerate() {
-            let pre = layer.forward_inference(&h, &edges);
-            h = if li + 1 < self.cfg.layers {
-                act::relu(&pre)
-            } else {
-                pre
-            };
+    /// The inference kernel: per-node logits, row-major `N × n_classes`, out
+    /// of a caller-kept workspace; bit-equal to [`forward`](Self::forward)
+    /// on the same weights.
+    ///
+    /// Feature rows are copied straight from the five embedding tables
+    /// (`pos | ner | stop | char | seq`, the order `forward` concatenates
+    /// them in), each layer runs [`FrozenRgcn::forward`] over the graph's
+    /// `(dst, rel)` groups, and the head is [`Linear::forward_rows`] — each
+    /// of them element for element the training pass's operations.
+    pub fn logits_with<'s>(&self, scratch: &'s mut InferScratch, qtig: &Qtig) -> &'s [f64] {
+        let frozen = self
+            .frozen
+            .get_or_init(|| self.layers.iter().map(RgcnLayer::freeze).collect());
+        let s = scratch;
+        s.groups.rebuild(qtig.n_nodes(), Self::edges(qtig));
+        let tables = [
+            &self.emb_pos,
+            &self.emb_ner,
+            &self.emb_stop,
+            &self.emb_char,
+            &self.emb_seq,
+        ];
+        s.h.clear();
+        for n in &qtig.nodes {
+            for (emb, id) in tables.iter().zip(Self::node_feature_ids(n)) {
+                s.h.extend_from_slice(emb.table.value.row(id));
+            }
         }
-        self.head.forward_inference(&h)
+        for (li, layer) in frozen.iter().enumerate() {
+            let relu = li + 1 < frozen.len();
+            layer.forward(&s.h, &s.groups, relu, &mut s.work, &mut s.h_next);
+            std::mem::swap(&mut s.h, &mut s.h_next);
+        }
+        self.head.forward_rows(&s.h, &mut s.logits);
+        &s.logits
+    }
+
+    /// Inference-only forward: per-node logits `(N × n_classes)`.
+    pub fn forward_inference(&self, qtig: &Qtig) -> Matrix {
+        let mut scratch = InferScratch::default();
+        self.logits_with(&mut scratch, qtig);
+        Matrix::from_vec(qtig.n_nodes(), self.cfg.n_classes, scratch.logits)
     }
 
     /// Backward pass from `d_logits`; accumulates all parameter gradients.
     pub fn backward(&mut self, d_logits: &Matrix) {
+        self.frozen.take();
         let mut dh = self.head.backward(d_logits);
         for li in (0..self.layers.len()).rev() {
             if li + 1 < self.cfg.layers {
@@ -227,6 +270,7 @@ impl GctspNet {
 
     /// All trainable parameters.
     pub fn params_mut(&mut self) -> Vec<&mut Parameter> {
+        self.frozen.take();
         let mut p = vec![
             &mut self.emb_pos.table,
             &mut self.emb_ner.table,
@@ -267,10 +311,15 @@ impl GctspNet {
 
     /// Per-node argmax class prediction.
     pub fn predict_classes(&self, qtig: &Qtig) -> Vec<usize> {
-        let logits = self.forward_inference(qtig);
-        (0..logits.rows())
-            .map(|r| {
-                let row = logits.row(r);
+        self.predict_classes_with(&mut InferScratch::default(), qtig)
+    }
+
+    /// [`predict_classes`](Self::predict_classes) out of a caller-kept
+    /// workspace.
+    pub fn predict_classes_with(&self, scratch: &mut InferScratch, qtig: &Qtig) -> Vec<usize> {
+        self.logits_with(scratch, qtig)
+            .chunks_exact(self.cfg.n_classes)
+            .map(|row| {
                 row.iter()
                     .enumerate()
                     .max_by(|a, b| a.1.total_cmp(b.1))
@@ -282,7 +331,17 @@ impl GctspNet {
 
     /// Node ids predicted positive (class ≠ 0), excluding sos/eos.
     pub fn predict_positive_nodes(&self, qtig: &Qtig) -> Vec<usize> {
-        self.predict_classes(qtig)
+        self.predict_positive_nodes_with(&mut InferScratch::default(), qtig)
+    }
+
+    /// [`predict_positive_nodes`](Self::predict_positive_nodes) out of a
+    /// caller-kept workspace.
+    pub fn predict_positive_nodes_with(
+        &self,
+        scratch: &mut InferScratch,
+        qtig: &Qtig,
+    ) -> Vec<usize> {
+        self.predict_classes_with(scratch, qtig)
             .into_iter()
             .enumerate()
             .skip(2) // sos, eos
@@ -322,10 +381,10 @@ mod tests {
         let logits = net.forward(&q);
         assert_eq!(logits.rows(), q.n_nodes());
         assert_eq!(logits.cols(), 2);
-        // Inference forward is identical.
+        // Inference forward is identical, to the bit.
         let logits2 = net.forward_inference(&q);
         for (a, b) in logits.data().iter().zip(logits2.data()) {
-            assert!((a - b).abs() < 1e-12);
+            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 
@@ -407,5 +466,37 @@ mod tests {
             net.forward_inference(&q).data().to_vec()
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn seeded_training_reproduces_the_pinned_parameters() {
+        // The pin is the hash of a build whose `backward` rebuilt every
+        // `W_r` from the bases: reusing the ones `forward` built for the
+        // same step must not move a bit of any trained weight.
+        let clusters = [
+            vec!["best electric cars", "electric cars list", "top 10 electric cars of 2018"],
+            vec!["quanta corp launches q7", "q7 launch by quanta corp"],
+            vec!["what are the animated films", "famous miyazaki animated films"],
+        ];
+        let examples: Vec<(Qtig, Vec<usize>)> = clusters
+            .iter()
+            .map(|texts| {
+                let q = qtig_of(texts);
+                let labels = (0..q.n_nodes()).map(|i| (i * 7 + 3) % 4).collect();
+                (q, labels)
+            })
+            .collect();
+        let mut net = GctspNet::new(GctspConfig {
+            epochs: 5,
+            ..small_cfg(4)
+        });
+        net.train(&examples);
+        let mut hash = giant_text::fnv1a64(&[]);
+        for p in net.params_mut() {
+            for v in p.value.data() {
+                hash = giant_text::fnv1a64_extend(hash, &v.to_bits().to_le_bytes());
+            }
+        }
+        assert_eq!(hash, 0x9745_7b6d_7fb9_5955, "trained parameters moved: {hash:#018x}");
     }
 }

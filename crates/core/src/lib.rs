@@ -44,7 +44,7 @@ pub use config::GiantConfig;
 pub use decode::{atsp_decode, decode_tokens};
 pub use derive::{common_pattern_discovery, common_suffix_discovery, CpdEvent, DerivedConcept, DerivedTopic};
 pub use event_cand::{best_event_candidate, cover_rank, SubtitleCandidate};
-pub use gctsp::{GctspConfig, GctspNet};
+pub use gctsp::{GctspConfig, GctspNet, InferScratch};
 pub use link::{category_links, concept_entity_features, ConceptEntityClassifier, CorrelateConfig, CorrelateModel};
 pub use normalize::{MergedPhrase, Normalizer};
 pub use pipeline::{run_pipeline, run_pipeline_cached, CategoryRecord, DocRecord, GiantOutput, MinedAttention, PipelineInput, StageTimings};

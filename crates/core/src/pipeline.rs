@@ -13,6 +13,7 @@ use crate::cache::{
 use crate::config::GiantConfig;
 use crate::decode::decode_tokens;
 use crate::derive::{common_pattern_discovery, common_suffix_discovery, CpdEvent};
+use crate::gctsp::InferScratch;
 use crate::link::{
     category_links, concept_entity_features, ConceptEntityClassifier, CorrelateConfig,
     CorrelateModel,
@@ -246,7 +247,7 @@ fn run_impl(
     timed(&mut timings, "register_entities", || register_entities(input, &mut out));
     mine_attentions(input, models, cfg, &mut out, mine_caches, text, &mut timings);
     timed(&mut timings, "event_elements", || {
-        recognize_event_elements(input, models, &mut out, roles)
+        recognize_event_elements(input, models, cfg, &mut out, roles)
     });
     timed(&mut timings, "link_categories", || link_categories(input, cfg, &mut out));
     timed(&mut timings, "link_concept_entities", || {
@@ -356,6 +357,7 @@ pub(crate) struct ClusterCandidate {
 fn mine_cluster_raw(
     input: &PipelineInput,
     models: &GiantModels,
+    scratch: &mut InferScratch,
     item: &ClusterWorkItem,
 ) -> MineOutcome {
     let stopwords = &input.annotator.stopwords;
@@ -375,7 +377,7 @@ fn mine_cluster_raw(
         return MineOutcome::Dead;
     }
     let qtig = crate::train::build_cluster_qtig(&input.annotator, &queries, &titles);
-    let positives = models.phrase_model.predict_positive_nodes(&qtig);
+    let positives = models.phrase_model.predict_positive_nodes_with(scratch, &qtig);
     let tokens = decode_tokens(&qtig, &positives);
     if tokens.is_empty() || tokens.iter().all(|t| stopwords.is_stop(t)) {
         return MineOutcome::Dead;
@@ -410,28 +412,16 @@ fn mine_cluster_raw(
     }
 }
 
-/// [`mine_cluster_raw`] with the entity filter applied — the uncached
-/// execute path (identical semantics to the cached path's raw + resolve
-/// composition by construction: it *is* that composition).
-fn mine_cluster(
-    input: &PipelineInput,
-    models: &GiantModels,
-    entity_surfaces: &HashSet<String>,
-    item: &ClusterWorkItem,
-) -> Option<ClusterCandidate> {
-    mine_cluster_raw(input, models, item).resolve(entity_surfaces)
-}
-
 /// Phase 1: Algorithm 1 as plan → execute → merge.
 ///
 /// * **Plan**: [`plan_clusters_parallel`] partitions the query space into
 ///   disjoint [`ClusterWorkItem`]s, reproducing the old covered-set
 ///   loop's seed selection exactly. The extraction walks are speculated
 ///   across workers; the acceptance pass stays sequential.
-/// * **Execute** (parallel): [`mine_cluster`] runs QTIG build + GCTSP
-///   inference + decode per item on `cfg.threads` scoped workers;
-///   `giant-exec` returns candidates **in plan order** regardless of
-///   thread count or scheduling.
+/// * **Execute** (parallel): [`mine_cluster_raw`] runs QTIG build + GCTSP
+///   inference + decode per item on `cfg.threads` scoped workers, each with
+///   its own [`InferScratch`]; `giant-exec` returns candidates **in plan
+///   order** regardless of thread count or scheduling.
 /// * **Merge** (sequential, deterministic): candidates feed the
 ///   [`Normalizer`]s in plan order — the same order the interleaved loop
 ///   used — so the resulting ontology is byte-identical at every thread
@@ -484,30 +474,35 @@ fn mine_attentions(
             let mine = &*mine_cache;
             let plan_reused = &plan.reused;
             let results: Vec<(Option<ClusterCandidate>, Option<MineEntry>)> =
-                giant_exec::run_ordered(&plan.items, cfg.threads, |i, item| {
-                    if plan_reused.get(i).copied().unwrap_or(false) {
-                        // The planner certifies this cluster unchanged
-                        // since the seed's last fold as an item, and the
-                        // mine entry is rewritten on every mismatch — so
-                        // a plan-reused item's entry is fresh without
-                        // re-fingerprinting (see `ClusterPlan::reused`).
+                giant_exec::run_ordered_scratch(
+                    &plan.items,
+                    cfg.threads,
+                    InferScratch::default,
+                    |scratch, i, item| {
+                        if plan_reused.get(i).copied().unwrap_or(false) {
+                            // The planner certifies this cluster unchanged
+                            // since the seed's last fold as an item, and the
+                            // mine entry is rewritten on every mismatch — so
+                            // a plan-reused item's entry is fresh without
+                            // re-fingerprinting (see `ClusterPlan::reused`).
+                            if let Some(e) = mine.get(&item.seed.0) {
+                                return (e.outcome.resolve(&entity_surfaces), None);
+                            }
+                        }
+                        let fp = MineFingerprint::of(item, &input.click_graph);
                         if let Some(e) = mine.get(&item.seed.0) {
-                            return (e.outcome.resolve(&entity_surfaces), None);
+                            if e.fp == fp {
+                                // Hit: the memoized outcome is what mining
+                                // would decode; only the entity filter may
+                                // have changed since, so re-apply it.
+                                return (e.outcome.resolve(&entity_surfaces), None);
+                            }
                         }
-                    }
-                    let fp = MineFingerprint::of(item, &input.click_graph);
-                    if let Some(e) = mine.get(&item.seed.0) {
-                        if e.fp == fp {
-                            // Hit: the memoized outcome is what mining
-                            // would decode; only the entity filter may
-                            // have changed since, so re-apply it.
-                            return (e.outcome.resolve(&entity_surfaces), None);
-                        }
-                    }
-                    let outcome = mine_cluster_raw(input, models, item);
-                    let cand = outcome.resolve(&entity_surfaces);
-                    (cand, Some(MineEntry { fp, outcome }))
-                });
+                        let outcome = mine_cluster_raw(input, models, scratch, item);
+                        let cand = outcome.resolve(&entity_surfaces);
+                        (cand, Some(MineEntry { fp, outcome }))
+                    },
+                );
             let mut stats = CacheStats {
                 plan_reused: plan_cache.reused,
                 plan_walked: plan_cache.walked,
@@ -534,9 +529,16 @@ fn mine_attentions(
                 plan_clusters_parallel(&input.click_graph, stopwords, &cfg.cluster, cfg.threads);
             timings.record("mine.plan", span.finish_secs());
             let span = giant_obs::span("mine.execute");
-            let candidates = giant_exec::run_ordered(&plan.items, cfg.threads, |_, item| {
-                mine_cluster(input, models, &entity_surfaces, item)
-            });
+            // The uncached path is the cached path's raw + resolve
+            // composition with nothing memoized.
+            let candidates = giant_exec::run_ordered_scratch(
+                &plan.items,
+                cfg.threads,
+                InferScratch::default,
+                |scratch, _, item| {
+                    mine_cluster_raw(input, models, scratch, item).resolve(&entity_surfaces)
+                },
+            );
             out.cache_stats = CacheStats {
                 plan_walked: plan.items.len(),
                 clusters_mined: plan.items.len(),
@@ -610,53 +612,65 @@ fn mine_attentions(
 /// involve edges (§3.2 "Edges between Attentions and Entities").
 ///
 /// The expensive step — QTIG build + role inference per event — is a pure
-/// function of `(source_queries, top_titles, tokens)`, so with a cache the
-/// per-token roles are memoized under exactly that key; the span matching
-/// and node creation below always re-run (they read and grow the shared
-/// entity map in mining order).
+/// function of `(source_queries, top_titles, tokens)`, so it runs first, for
+/// all events at once, on `cfg.threads` workers; with a cache the per-token
+/// roles are memoized under exactly that key and only the misses are
+/// inferred. The span matching and node creation below stay sequential
+/// (they read and grow the shared entity map in mining order).
 fn recognize_event_elements(
     input: &PipelineInput,
     models: &GiantModels,
+    cfg: &GiantConfig,
     out: &mut GiantOutput,
-    mut roles_cache: Option<&mut HashMap<String, Vec<EventRole>>>,
+    roles_cache: Option<&mut HashMap<String, Vec<EventRole>>>,
 ) {
-    for mi in 0..out.mined.len() {
-        if out.mined[mi].kind != NodeKind::Event {
-            continue;
-        }
-        let (queries, titles) = {
-            let m = &out.mined[mi];
-            (m.source_queries.clone(), m.top_titles.clone())
-        };
-        let tokens = out.mined[mi].tokens.clone();
-        let infer = || -> Vec<EventRole> {
-            let qtig = crate::train::build_cluster_qtig(&input.annotator, &queries, &titles);
-            let classes = models.role_model.predict_classes(&qtig);
-            tokens
+    let events: Vec<usize> = (0..out.mined.len())
+        .filter(|&mi| out.mined[mi].kind == NodeKind::Event)
+        .collect();
+    // Per-position roles; a token string always maps to one QTIG node, so
+    // this equals the historical per-string lookup.
+    let infer = |scratch: &mut InferScratch, m: &MinedAttention| -> Vec<EventRole> {
+        let qtig =
+            crate::train::build_cluster_qtig(&input.annotator, &m.source_queries, &m.top_titles);
+        let classes = models.role_model.predict_classes_with(scratch, &qtig);
+        m.tokens
+            .iter()
+            .map(|t| {
+                qtig.node_id(t)
+                    .map(|i| EventRole::from_index(classes[i]))
+                    .unwrap_or(EventRole::Other)
+            })
+            .collect()
+    };
+    let infer_all = |which: &[usize]| -> Vec<Vec<EventRole>> {
+        giant_exec::run_ordered_scratch(which, cfg.threads, InferScratch::default, |s, _, &mi| {
+            infer(s, &out.mined[mi])
+        })
+    };
+    let event_roles: Vec<Vec<EventRole>> = match roles_cache {
+        Some(cache) => {
+            let keys: Vec<String> = events
                 .iter()
-                .map(|t| {
-                    qtig.node_id(t)
-                        .map(|i| EventRole::from_index(classes[i]))
-                        .unwrap_or(EventRole::Other)
+                .map(|&mi| {
+                    let m = &out.mined[mi];
+                    role_cache_key(&m.source_queries, &m.top_titles, &m.tokens)
                 })
-                .collect()
-        };
-        // Per-position roles; a token string always maps to one QTIG node,
-        // so this equals the historical per-string lookup.
-        let roles: Vec<EventRole> = match roles_cache.as_deref_mut() {
-            Some(cache) => {
-                let key = role_cache_key(&queries, &titles, &tokens);
-                match cache.get(&key) {
-                    Some(r) => r.clone(),
-                    None => {
-                        let r = infer();
-                        cache.insert(key, r.clone());
-                        r
-                    }
-                }
+                .collect();
+            // One inference per distinct missing key.
+            let mut missing: HashSet<&str> = HashSet::new();
+            let misses: Vec<usize> = (0..events.len())
+                .filter(|&e| !cache.contains_key(&keys[e]) && missing.insert(&keys[e]))
+                .collect();
+            let which: Vec<usize> = misses.iter().map(|&e| events[e]).collect();
+            for (&e, roles) in misses.iter().zip(infer_all(&which)) {
+                cache.insert(keys[e].clone(), roles);
             }
-            None => infer(),
-        };
+            keys.iter().map(|k| cache[k].clone()).collect()
+        }
+        None => infer_all(&events),
+    };
+    for (mi, roles) in events.into_iter().zip(event_roles) {
+        let tokens = out.mined[mi].tokens.clone();
         // Trigger: first trigger-class token of the phrase.
         let trigger = tokens
             .iter()

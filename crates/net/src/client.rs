@@ -23,9 +23,15 @@ pub struct NetClient {
 
 impl NetClient {
     /// Connects to a server (e.g. `server.local_addr()` or `"host:port"`).
+    ///
+    /// Nagle's algorithm is turned off: requests are small frames written
+    /// whole, and a pipelined request must not wait for the ACK of the one
+    /// before it.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, NetError> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         Ok(NetClient {
-            stream: TcpStream::connect(addr)?,
+            stream,
             next_id: 1,
             pending: HashMap::new(),
         })
@@ -93,5 +99,18 @@ impl NetClient {
                 reason: format!("expected a metrics reply, got {other:?}"),
             }),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn client_sockets_have_nagle_off() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let client = NetClient::connect(listener.local_addr().expect("addr")).expect("connect");
+        assert!(client.stream.nodelay().expect("nodelay"));
     }
 }

@@ -90,8 +90,13 @@ impl Default for ServerConfig {
 
 /// One admitted request waiting for a worker.
 struct Job {
-    id: u64,
     req: ServeRequest,
+    ticket: Ticket,
+}
+
+/// Where a job's answer goes, and what the stats need to know about it.
+struct Ticket {
+    id: u64,
     kind: usize,
     conn: Arc<Conn>,
     enqueued: Instant,
@@ -269,7 +274,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
             break;
         }
         let Ok(stream) = stream else { continue };
-        let (Ok(read_half), Ok(unblock)) = (stream.try_clone(), stream.try_clone()) else {
+        let Ok((read_half, unblock)) = prepare_accepted(&stream) else {
             continue;
         };
         let conn = Arc::new(Conn {
@@ -294,6 +299,17 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
             let _ = h.join();
         }
     }
+}
+
+/// Turns Nagle's algorithm off on an accepted socket and clones the
+/// reader's and the shutdown sweep's handles to it (clones share the
+/// option). Replies are small frames written one at a time; with Nagle on,
+/// a reply that follows another waits for the peer's ACK, which a client
+/// with nothing to send delays — until its next request, so an open-loop
+/// client's latency floor was one inter-arrival time.
+fn prepare_accepted(stream: &TcpStream) -> io::Result<(TcpStream, TcpStream)> {
+    stream.set_nodelay(true)?;
+    Ok((stream.try_clone()?, stream.try_clone()?))
 }
 
 fn reader_loop(mut read_half: TcpStream, conn: Arc<Conn>, shared: &Arc<Shared>) {
@@ -350,11 +366,13 @@ fn reader_loop(mut read_half: TcpStream, conn: Arc<Conn>, shared: &Arc<Shared>) 
                     });
                 } else {
                     queue.push_back(Job {
-                        id,
-                        kind: kind_index(&req),
+                        ticket: Ticket {
+                            id,
+                            kind: kind_index(&req),
+                            conn: Arc::clone(&conn),
+                            enqueued: Instant::now(),
+                        },
                         req,
-                        conn: Arc::clone(&conn),
-                        enqueued: Instant::now(),
                     });
                     shared.stats.record_queue_depth(queue.len());
                     drop(queue);
@@ -400,17 +418,18 @@ fn worker_loop(shared: &Arc<Shared>) {
         for job in &batch {
             shared
                 .stats
-                .record_queue_wait(job.enqueued.elapsed().as_secs_f64() * 1e6);
+                .record_queue_wait(job.ticket.enqueued.elapsed().as_secs_f64() * 1e6);
         }
         let batch_span = giant_obs::span("net.batch");
-        let requests: Vec<ServeRequest> = batch.iter().map(|j| j.req.clone()).collect();
+        let (requests, tickets): (Vec<ServeRequest>, Vec<Ticket>) =
+            batch.into_iter().map(|j| (j.req, j.ticket)).unzip();
         // One frame, one ordered fan-out for the whole batch — results
         // come back in request order, so zip matches job to answer.
         let serve_span = giant_obs::span("net.serve");
         let results = shared.svc.serve_batch(&requests, shared.cfg.exec_threads);
         drop(serve_span);
         let reply_span = giant_obs::span("net.reply");
-        for (job, result) in batch.into_iter().zip(results) {
+        for (job, result) in tickets.into_iter().zip(results) {
             let reply = match result {
                 Ok(resp) => Reply::Ok(resp),
                 Err(e) => Reply::Err(e),
@@ -423,5 +442,22 @@ fn worker_loop(shared: &Arc<Shared>) {
         }
         drop(reply_span);
         drop(batch_span);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_sockets_have_nagle_off() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let _peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        assert!(!stream.nodelay().expect("nodelay"), "the OS default is Nagle on");
+        let (read_half, unblock) = prepare_accepted(&stream).expect("prepare");
+        for socket in [&stream, &read_half, &unblock] {
+            assert!(socket.nodelay().expect("nodelay"));
+        }
     }
 }

@@ -51,4 +51,4 @@ pub use lstm::{BiLstm, Lstm};
 pub use matrix::Matrix;
 pub use optim::{Adam, Sgd};
 pub use param::Parameter;
-pub use rgcn::{RgcnLayer, TypedEdge};
+pub use rgcn::{EdgeGroups, FrozenRgcn, RgcnLayer, TypedEdge};

@@ -55,9 +55,25 @@ impl Linear {
 
     /// Forward without caching (inference).
     pub fn forward_inference(&self, x: &Matrix) -> Matrix {
-        let mut y = x.matmul(&self.w.value);
-        y.add_row_broadcast(&self.b.value);
-        y
+        let mut y = Vec::new();
+        self.forward_rows(x.data(), &mut y);
+        Matrix::from_vec(x.rows(), self.d_out(), y)
+    }
+
+    /// Inference on row-major slices: `x` holds `N × d_in`, `out` is
+    /// overwritten with `N × d_out`. Per element the operations and their
+    /// order are those of [`forward`](Self::forward), so the values are
+    /// bit-equal.
+    pub fn forward_rows(&self, x: &[f64], out: &mut Vec<f64>) {
+        let (d_in, d_out) = (self.d_in(), self.d_out());
+        out.clear();
+        out.resize(x.len() / d_in * d_out, 0.0);
+        for (x_row, out_row) in x.chunks_exact(d_in).zip(out.chunks_exact_mut(d_out)) {
+            self.w.value.add_row_product(x_row, out_row);
+            for (v, b) in out_row.iter_mut().zip(self.b.value.data()) {
+                *v += b;
+            }
+        }
     }
 
     /// Backward pass: accumulates `dW = xᵀ dy`, `db = Σ_rows dy`, returns

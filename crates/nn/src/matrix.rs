@@ -112,19 +112,28 @@ impl Matrix {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
         let mut out = Matrix::zeros(self.rows, other.cols);
         for i in 0..self.rows {
-            let a_row = self.row(i);
-            let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
-            for (k, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = other.row(k);
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
+            other.add_row_product(
+                self.row(i),
+                &mut out.data[i * other.cols..(i + 1) * other.cols],
+            );
         }
         out
+    }
+
+    /// `acc += a @ self` for one row vector `a` — the row kernel of
+    /// [`matmul`](Self::matmul): `k` ascending, zero entries of `a` skipped.
+    /// Slice-based callers that use it reproduce `matmul` bit for bit.
+    #[inline]
+    pub fn add_row_product(&self, a: &[f64], acc: &mut [f64]) {
+        assert_eq!(a.len(), self.rows, "matmul shape mismatch");
+        for (k, &a) in a.iter().enumerate() {
+            if a == 0.0 {
+                continue;
+            }
+            for (o, &b) in acc.iter_mut().zip(self.row(k)) {
+                *o += a * b;
+            }
+        }
     }
 
     /// `selfᵀ @ other` without materialising the transpose.

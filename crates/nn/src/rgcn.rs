@@ -32,6 +32,8 @@ struct RgcnCache {
     /// Aggregated normalised neighbour features per relation present in the
     /// batch: `m_r[dst] = Σ_{src ∈ N_r(dst)} x[src] / |N_r(dst)|`.
     m: BTreeMap<usize, Matrix>,
+    /// `W_r` of every relation in `m`, as the forward pass built it.
+    w: BTreeMap<usize, Matrix>,
     /// Per-relation in-degree of each node.
     indeg: BTreeMap<usize, Vec<f64>>,
     edges: Vec<TypedEdge>,
@@ -123,30 +125,36 @@ impl RgcnLayer {
         (m, indeg)
     }
 
-    /// Forward pass over node features `x (N × d_in)` and typed edges.
+    /// Training forward pass over node features `x (N × d_in)` and typed
+    /// edges; caches what [`backward`](Self::backward) needs. Inference goes
+    /// through [`freeze`](Self::freeze), which this pass is the oracle for.
     pub fn forward(&mut self, x: &Matrix, edges: &[TypedEdge]) -> Matrix {
         let (m, indeg) = self.aggregate(x, edges);
+        let w: BTreeMap<usize, Matrix> = m.keys().map(|&r| (r, self.w_r(r))).collect();
         let mut out = x.matmul(&self.self_w.value);
-        for (&r, mr) in &m {
-            out.add_assign(&mr.matmul(&self.w_r(r)));
+        for (r, mr) in &m {
+            out.add_assign(&mr.matmul(&w[r]));
         }
         self.cache = Some(RgcnCache {
             x: x.clone(),
             m,
+            w,
             indeg,
             edges: edges.to_vec(),
         });
         out
     }
 
-    /// Forward without caching.
-    pub fn forward_inference(&self, x: &Matrix, edges: &[TypedEdge]) -> Matrix {
-        let (m, _) = self.aggregate(x, edges);
-        let mut out = x.matmul(&self.self_w.value);
-        for (&r, mr) in &m {
-            out.add_assign(&mr.matmul(&self.w_r(r)));
+    /// Snapshot of this layer's current weights for inference: `W_self` and
+    /// every `W_r`, each built by the `add_scaled` sequence the training
+    /// pass uses, so every entry is bit-equal to what
+    /// [`forward`](Self::forward) multiplies by. The snapshot does not
+    /// follow later parameter updates.
+    pub fn freeze(&self) -> FrozenRgcn {
+        FrozenRgcn {
+            w_self: self.self_w.value.clone(),
+            w_rel: (0..self.n_rels).map(|r| self.w_r(r)).collect(),
         }
-        out
     }
 
     /// Backward pass: accumulates gradients for the bases, coefficients and
@@ -158,7 +166,6 @@ impl RgcnLayer {
         let mut dx = dy.matmul_nt(&self.self_w.value);
         // Per-relation terms.
         for (&r, mr) in &cache.m {
-            let w_r = self.w_r(r);
             // dW_r = M_rᵀ dy.
             let dw_r = mr.matmul_tn(dy);
             // Chain into bases and coefficients.
@@ -170,7 +177,7 @@ impl RgcnLayer {
                     .add_at(r, b, dw_r.frobenius_dot(&basis.value));
             }
             // dM_r = dy W_rᵀ, then scatter to source nodes.
-            let dm_r = dy.matmul_nt(&w_r);
+            let dm_r = dy.matmul_nt(&cache.w[&r]);
             let indeg = &cache.indeg[&r];
             for e in cache.edges.iter().filter(|e| e.rel == r) {
                 let c = indeg[e.dst];
@@ -193,6 +200,98 @@ impl RgcnLayer {
     }
 }
 
+/// The edges of one graph sorted by `(dst, rel)`, sources of a pair in the
+/// order the edges were given. Every layer of a network aggregates over the
+/// same pairs, so the sort is done once per graph;
+/// [`rebuild`](Self::rebuild) reuses the buffer.
+#[derive(Debug, Clone, Default)]
+pub struct EdgeGroups {
+    n_nodes: usize,
+    /// `(dst, rel, edge position, src)`, sorted; the position makes the key
+    /// unique, so the in-place unstable sort yields the stable order.
+    keyed: Vec<(usize, usize, usize, usize)>,
+}
+
+impl EdgeGroups {
+    /// Regroups for a graph of `n_nodes` nodes. Panics on an edge whose
+    /// endpoint is not a node.
+    pub fn rebuild(&mut self, n_nodes: usize, edges: impl IntoIterator<Item = TypedEdge>) {
+        self.n_nodes = n_nodes;
+        self.keyed.clear();
+        for (i, e) in edges.into_iter().enumerate() {
+            assert!(e.src < n_nodes && e.dst < n_nodes, "edge node out of range");
+            self.keyed.push((e.dst, e.rel, i, e.src));
+        }
+        self.keyed.sort_unstable();
+    }
+}
+
+/// Inference weights of one [`RgcnLayer`] (see [`RgcnLayer::freeze`]).
+#[derive(Debug, Clone)]
+pub struct FrozenRgcn {
+    w_self: Matrix,
+    w_rel: Vec<Matrix>,
+}
+
+impl FrozenRgcn {
+    /// The layer on node features `x` (row-major `N × d_in`), written to
+    /// `out` (`N × d_out`), with ReLU applied when `relu`.
+    ///
+    /// Bit-equal to [`RgcnLayer::forward`] (followed by [`crate::act::relu`])
+    /// on the same weights: per output row it performs that pass's
+    /// floating-point operations in that pass's order — the self term
+    /// accumulated from `+0.0`, then per relation ascending the mean of the
+    /// sources in edge order, its product with `W_r` accumulated from `+0.0`,
+    /// and the add into the row. What it leaves out is the dense pass's
+    /// `+ 0.0` for every relation a row has no edge under; an accumulator
+    /// that starts at `+0.0` is never `-0.0`, so those adds change no bit.
+    /// `work` is workspace.
+    pub fn forward(
+        &self,
+        x: &[f64],
+        groups: &EdgeGroups,
+        relu: bool,
+        work: &mut Vec<f64>,
+        out: &mut Vec<f64>,
+    ) {
+        let (d_in, d_out) = (self.w_self.rows(), self.w_self.cols());
+        let n = groups.n_nodes;
+        assert_eq!(x.len(), n * d_in, "feature rows must match the graph");
+        work.resize(d_in + d_out, 0.0);
+        let (m, tmp) = work.split_at_mut(d_in);
+        out.clear();
+        out.resize(n * d_out, 0.0);
+        let mut pairs = groups
+            .keyed
+            .chunk_by(|a, b| (a.0, a.1) == (b.0, b.1))
+            .peekable();
+        for (dst, out_row) in out.chunks_exact_mut(d_out).enumerate() {
+            self.w_self.add_row_product(&x[dst * d_in..(dst + 1) * d_in], out_row);
+            while let Some(pair) = pairs.next_if(|pair| pair[0].0 == dst) {
+                let rel = pair[0].1;
+                assert!(rel < self.w_rel.len(), "relation {rel} out of range");
+                let c = pair.len() as f64;
+                m.fill(0.0);
+                for &(_, _, _, src) in pair {
+                    for (d, s) in m.iter_mut().zip(&x[src * d_in..(src + 1) * d_in]) {
+                        *d += s / c;
+                    }
+                }
+                tmp.fill(0.0);
+                self.w_rel[rel].add_row_product(m, tmp);
+                for (o, t) in out_row.iter_mut().zip(tmp.iter()) {
+                    *o += t;
+                }
+            }
+            if relu {
+                for v in out_row.iter_mut() {
+                    *v = v.max(0.0);
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,6 +300,17 @@ mod tests {
 
     fn sq_loss(y: &Matrix) -> f64 {
         y.data().iter().map(|v| v * v).sum::<f64>() / 2.0
+    }
+
+    /// The inference kernel on one layer, as a dense matrix.
+    fn infer(layer: &RgcnLayer, x: &Matrix, edges: &[TypedEdge]) -> Matrix {
+        let mut groups = EdgeGroups::default();
+        groups.rebuild(x.rows(), edges.iter().copied());
+        let (mut work, mut out) = (Vec::new(), Vec::new());
+        layer
+            .freeze()
+            .forward(x.data(), &groups, false, &mut work, &mut out);
+        Matrix::from_vec(x.rows(), layer.d_out(), out)
     }
 
     fn small_graph() -> Vec<TypedEdge> {
@@ -220,10 +330,10 @@ mod tests {
         let x = Matrix::xavier(4, 3, &mut rng);
         let edges = small_graph();
         let y1 = layer.forward(&x, &edges);
-        let y2 = layer.forward_inference(&x, &edges);
+        let y2 = infer(&layer, &x, &edges);
         assert_eq!((y1.rows(), y1.cols()), (4, 5));
         for (a, b) in y1.data().iter().zip(y2.data()) {
-            assert!((a - b).abs() < 1e-12);
+            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 
@@ -234,7 +344,7 @@ mod tests {
         let x = Matrix::xavier(3, 2, &mut rng);
         // Node 2 has no in-edges.
         let edges = vec![TypedEdge { src: 0, dst: 1, rel: 0 }];
-        let y = layer.forward_inference(&x, &edges);
+        let y = infer(&layer, &x, &edges);
         let self_only = x.matmul(&layer.self_w.value);
         assert_eq!(y.row(2), self_only.row(2));
         assert_eq!(y.row(0), self_only.row(0));
@@ -251,7 +361,7 @@ mod tests {
             TypedEdge { src: 0, dst: 2, rel: 0 },
             TypedEdge { src: 1, dst: 2, rel: 0 },
         ];
-        let y = layer.forward_inference(&x, &edges);
+        let y = infer(&layer, &x, &edges);
         // Mean of x0 and x1 = [3, 0]; so y[2] = [3,0] W_0^{rel} + x2 W_self.
         let w_r = layer.w_r(0);
         let expect_0 = 3.0 * w_r.get(0, 0);
@@ -270,7 +380,7 @@ mod tests {
         let dx = layer.backward(&y);
         crate::gradcheck::check_param_grads(
             &mut layer,
-            |l| sq_loss(&l.forward_inference(&x, &small_graph())),
+            |l| sq_loss(&infer(l, &x, &small_graph())),
             |l| l.params_mut(),
             1e-6,
             1e-5,
@@ -283,8 +393,8 @@ mod tests {
                 xp.add_at(r, c, eps);
                 let mut xm = x.clone();
                 xm.add_at(r, c, -eps);
-                let num = (sq_loss(&layer.forward_inference(&xp, &edges))
-                    - sq_loss(&layer.forward_inference(&xm, &edges)))
+                let num = (sq_loss(&infer(&layer, &xp, &edges))
+                    - sq_loss(&infer(&layer, &xm, &edges)))
                     / (2.0 * eps);
                 assert!(
                     (num - dx.get(r, c)).abs() < 1e-5,
@@ -317,6 +427,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let layer = RgcnLayer::new(2, 2, 3, 1, &mut rng);
         let x = Matrix::zeros(2, 2);
-        let _ = layer.forward_inference(&x, &[TypedEdge { src: 0, dst: 1, rel: 7 }]);
+        let _ = infer(&layer, &x, &[TypedEdge { src: 0, dst: 1, rel: 7 }]);
     }
 }

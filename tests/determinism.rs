@@ -8,7 +8,8 @@
 
 use giant::adapter::{GiantSetup, ModelTrainConfig};
 use giant::data::WorldConfig;
-use giant::mining::GiantConfig;
+use giant::mining::{run_pipeline, run_pipeline_cached, GiantConfig, GiantOutput, PipelineCaches};
+use giant::ontology::NodeKind;
 
 mod common;
 
@@ -69,6 +70,50 @@ fn pipeline_output_is_thread_count_invariant() {
                 &format!("threads={threads}"),
             );
             panic!("pipeline output depends on thread count; first divergence at {diverged}");
+        }
+    }
+}
+
+#[test]
+fn event_elements_are_thread_count_and_cache_invariant() {
+    // Role inference for all events runs ahead of the sequential span
+    // matching, on `threads` workers, and on the cached path only for cache
+    // misses: neither may show in what the events end up with.
+    let setup = GiantSetup::generate(WorldConfig::tiny());
+    let (models, _) = setup.train_models(&ModelTrainConfig::small());
+    let input = setup.pipeline_input();
+    let elements = |out: &GiantOutput| {
+        let rows: Vec<_> = out
+            .mined
+            .iter()
+            .map(|m| (m.node, m.trigger.clone(), m.entities.clone(), m.location.clone()))
+            .collect();
+        (rows, giant::ontology::io::dump(&out.ontology))
+    };
+    let cfg_at = |threads: usize| GiantConfig {
+        threads,
+        ..GiantConfig::default()
+    };
+    let reference = run_pipeline(&input, &models, &cfg_at(1));
+    let events: Vec<_> = reference.mined_of_kind(NodeKind::Event);
+    assert!(
+        events.iter().any(|m| m.trigger.is_some()) && events.iter().any(|m| !m.entities.is_empty()),
+        "the seed world mines events with triggers and entities"
+    );
+    let reference = elements(&reference);
+    for threads in [2, 4] {
+        let got = elements(&run_pipeline(&input, &models, &cfg_at(threads)));
+        assert!(got == reference, "event elements depend on threads={threads}");
+    }
+    for threads in [1, 2, 4] {
+        // Cold caches (every role inferred), then warm (every role a hit).
+        let mut caches = PipelineCaches::new();
+        for pass in ["cold", "warm"] {
+            let got = elements(&run_pipeline_cached(&input, &models, &cfg_at(threads), &mut caches));
+            assert!(
+                got == reference,
+                "cached event elements differ ({pass} caches, threads={threads})"
+            );
         }
     }
 }
