@@ -9,7 +9,7 @@
 
 use giant_ontology::{NodeId, OntologySnapshot};
 use giant_text::embedding::PhraseEncoder;
-use giant_text::{TfIdf, Vocab};
+use giant_text::{TfIdf, TfIdfVector, Vocab};
 use std::collections::HashSet;
 
 /// One event participating in a story.
@@ -39,25 +39,48 @@ pub struct EventSimilarity<'a> {
     pub snapshot: &'a OntologySnapshot,
 }
 
-impl EventSimilarity<'_> {
-    fn encode(&self, tokens: &[String]) -> Vec<f32> {
-        let ids: Vec<giant_text::TokenId> = tokens
+/// One event prepared for eq. (8): everything a pairwise score needs
+/// that depends on one side only, built once per event.
+struct PreparedEvent<'p> {
+    /// `f_m` input: the phrase encoding.
+    encoding: Vec<f32>,
+    /// `f_g` input: the trigger verb and its vocabulary id.
+    trigger: Option<(&'p str, Option<giant_text::TokenId>)>,
+    /// `f_e` input: the TF-IDF vector of the entity-phrase tokens.
+    entities: TfIdfVector<'p>,
+}
+
+impl<'a> EventSimilarity<'a> {
+    fn prepare<'p>(&self, e: &'p StoryEvent) -> PreparedEvent<'p>
+    where
+        'a: 'p,
+    {
+        let ids: Vec<giant_text::TokenId> = e
+            .tokens
             .iter()
             .filter_map(|t| self.vocab.get(t))
             .collect();
-        self.encoder.encode(&ids)
+        let snapshot: &'a OntologySnapshot = self.snapshot;
+        PreparedEvent {
+            encoding: self.encoder.encode(&ids),
+            trigger: e.trigger.as_deref().map(|t| (t, self.vocab.get(t))),
+            entities: self.tfidf.vectorize(
+                e.entities
+                    .iter()
+                    .flat_map(|&n| snapshot.node(n).phrase.tokens.iter().map(String::as_str)),
+            ),
+        }
     }
 
-    /// `s(e1, e2) = f_m + f_g + f_e` (eq. 8).
-    pub fn similarity(&self, a: &StoryEvent, b: &StoryEvent) -> f64 {
-        let f_m = giant_text::embedding::cosine(&self.encode(&a.tokens), &self.encode(&b.tokens))
-            as f64;
-        let f_g = match (&a.trigger, &b.trigger) {
-            (Some(ta), Some(tb)) => {
+    /// `s(e1, e2) = f_m + f_g + f_e` over two prepared events.
+    fn score(&self, a: &PreparedEvent<'_>, b: &PreparedEvent<'_>) -> f64 {
+        let f_m = giant_text::embedding::cosine(&a.encoding, &b.encoding) as f64;
+        let f_g = match (a.trigger, b.trigger) {
+            (Some((ta, ia)), Some((tb, ib))) => {
                 if ta == tb {
                     1.0
                 } else {
-                    match (self.vocab.get(ta), self.vocab.get(tb)) {
+                    match (ia, ib) {
                         (Some(ia), Some(ib)) => {
                             f64::from(self.encoder.embeddings().cosine(ia, ib))
                         }
@@ -67,19 +90,34 @@ impl EventSimilarity<'_> {
             }
             _ => 0.0,
         };
-        let ents = |e: &StoryEvent| -> Vec<String> {
-            e.entities
-                .iter()
-                .flat_map(|&n| self.snapshot.node(n).phrase.tokens.clone())
-                .collect()
-        };
-        let ea = ents(a);
-        let eb = ents(b);
-        let f_e = self.tfidf.similarity(
-            ea.iter().map(|s| s.as_str()),
-            eb.iter().map(|s| s.as_str()),
-        );
+        let f_e = a.entities.cosine(&b.entities);
         f_m + f_g + f_e
+    }
+
+    /// `s(e1, e2) = f_m + f_g + f_e` (eq. 8).
+    pub fn similarity(&self, a: &StoryEvent, b: &StoryEvent) -> f64 {
+        self.score(&self.prepare(a), &self.prepare(b))
+    }
+
+    /// The symmetric matrix of [`EventSimilarity::similarity`] over
+    /// `events` (zero diagonal), preparing each event once rather than
+    /// once per pair.
+    pub fn similarity_matrix(&self, events: &[StoryEvent]) -> Vec<Vec<f64>> {
+        let n = events.len();
+        let mut s = vec![vec![0.0f64; n]; n];
+        if n < 2 {
+            // A seed with no related events: no pair, nothing to prepare.
+            return s;
+        }
+        let prepared: Vec<PreparedEvent<'_>> = events.iter().map(|e| self.prepare(e)).collect();
+        for i in 0..n {
+            for j in i + 1..n {
+                let v = self.score(&prepared[i], &prepared[j]);
+                s[i][j] = v;
+                s[j][i] = v;
+            }
+        }
+        s
     }
 }
 
@@ -161,15 +199,7 @@ pub fn build_story_tree(
     events.extend(related);
     events.sort_by_key(|e| e.day);
     let n = events.len();
-    // Similarity matrix.
-    let mut s = vec![vec![0.0f64; n]; n];
-    for i in 0..n {
-        for j in i + 1..n {
-            let v = sim.similarity(&events[i], &events[j]);
-            s[i][j] = v;
-            s[j][i] = v;
-        }
-    }
+    let s = sim.similarity_matrix(&events);
     // Average-linkage agglomerative clustering down to the threshold.
     let mut clusters: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
     loop {

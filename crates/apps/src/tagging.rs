@@ -13,7 +13,7 @@ use crate::duet::{duet_features, DuetMatcher};
 use giant_ontology::{NodeId, NodeKind, OntologySnapshot};
 use giant_text::embedding::PhraseEncoder;
 use giant_text::{TfIdf, Vocab};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Tagging thresholds.
@@ -105,8 +105,9 @@ impl DocumentTagger<'_> {
 
         let mut tags = DocTags::default();
         // --- Concepts via parents of the key entities (matching approach).
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = HashSet::new();
         let mut any_parent = false;
+        let mut title_vec = None;
         for &e in &entities {
             for &parent in snap.parents(e) {
                 let node = snap.node(parent);
@@ -120,12 +121,11 @@ impl DocumentTagger<'_> {
                 let ctx = res
                     .concept_contexts
                     .get(&parent)
-                    .cloned()
-                    .unwrap_or_else(|| node.phrase.tokens.clone());
-                let score = res.tfidf.similarity(
-                    title_tokens.iter().map(|s| s.as_str()),
-                    ctx.iter().map(|s| s.as_str()),
-                );
+                    .unwrap_or(&node.phrase.tokens);
+                let title_vec = title_vec.get_or_insert_with(|| {
+                    res.tfidf.vectorize(title_tokens.iter().map(String::as_str))
+                });
+                let score = title_vec.cosine(&res.tfidf.vectorize(ctx.iter().map(String::as_str)));
                 if score >= res.config.coherence_threshold {
                     tags.concepts.push((parent, score));
                 }
@@ -152,11 +152,28 @@ impl DocumentTagger<'_> {
         if let Some(first) = sent_tokens.first() {
             target.extend(first.iter().cloned());
         }
+        let present: HashSet<&str> = target.iter().map(String::as_str).collect();
         for (node, phrase) in &res.event_phrases {
             if phrase.is_empty() {
                 continue;
             }
-            let lcs = giant_text::lcs_len(phrase, &target) as f64 / phrase.len() as f64;
+            // Every token an LCS matches is present in `target`, so the
+            // count of present phrase tokens bounds `lcs_len` from above;
+            // dividing both by the same positive length keeps the order,
+            // so a bound under the cut proves the LCS fraction is too.
+            // Count down the misses and stop as soon as that holds.
+            let len = phrase.len() as f64;
+            let mut bound = phrase.len();
+            let below_cut = phrase.iter().any(|t| {
+                !present.contains(t.as_str()) && {
+                    bound -= 1;
+                    (bound as f64 / len) < res.config.lcs_min_fraction
+                }
+            });
+            if below_cut {
+                continue;
+            }
+            let lcs = giant_text::lcs_len(phrase, &target) as f64 / len;
             if lcs < res.config.lcs_min_fraction {
                 continue;
             }

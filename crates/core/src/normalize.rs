@@ -12,7 +12,7 @@
 //! criterion (i) reduces to equality of the non-stop token sets (the paper's
 //! "same or synonyms" with an empty synonym table).
 
-use giant_text::{StopWords, TfIdf};
+use giant_text::{StopWords, TfIdf, TfIdfVector};
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// A canonical phrase plus its merged variants and enriched context.
@@ -46,6 +46,9 @@ pub struct Normalizer<'a> {
     /// Content key → group indices with that key, ascending (insertion
     /// order).
     by_content: HashMap<String, Vec<usize>>,
+    /// Each group's context TF-IDF vector, built at the group's first
+    /// comparison and reused by every later one.
+    vectors: Vec<Option<TfIdfVector<'static>>>,
 }
 
 impl<'a> Normalizer<'a> {
@@ -59,6 +62,7 @@ impl<'a> Normalizer<'a> {
             delta_m,
             merged: Vec::new(),
             by_content: HashMap::new(),
+            vectors: Vec::new(),
         }
     }
 
@@ -139,15 +143,17 @@ impl<'a> Normalizer<'a> {
         let key = self.content_key(&tokens);
         // Only groups with the identical content set can satisfy criterion
         // (i); among them, the first (insertion order) passing criterion
-        // (ii) wins — exactly the full scan's first match.
+        // (ii) wins — exactly the full scan's first match. Most candidates
+        // open a group of their own, so a candidate's context is vectorized
+        // only once its bucket is known to be non-empty.
         if let Some(bucket) = self.by_content.get(&key) {
+            let cand = self.tfidf.vectorize(context.iter().map(String::as_str));
             for &i in bucket {
-                let g = &self.merged[i];
-                let sim = self.tfidf.similarity(
-                    context.iter().map(|s| s.as_str()),
-                    g.context.iter().map(|s| s.as_str()),
-                );
-                if sim >= self.delta_m {
+                let group = self.vectors[i].get_or_insert_with(|| {
+                    let ctx = &self.merged[i].context;
+                    self.tfidf.vectorize(ctx.iter().map(String::as_str)).into_owned()
+                });
+                if cand.cosine(group) >= self.delta_m {
                     let g = &mut self.merged[i];
                     if g.tokens != tokens && !g.variants.contains(&tokens) {
                         g.variants.push(tokens);
@@ -164,6 +170,7 @@ impl<'a> Normalizer<'a> {
             context,
             support,
         });
+        self.vectors.push(None);
         self.by_content.entry(key).or_default().push(i);
         i
     }

@@ -46,6 +46,6 @@ pub use ner::{Gazetteer, NerTag};
 pub use pos::{HmmTagger, Lexicon, PosTag};
 pub use similarity::{edit_distance, jaccard, lcs_len};
 pub use stopwords::StopWords;
-pub use tfidf::{cosine_sparse, TfIdf};
+pub use tfidf::{TfIdf, TfIdfVector};
 pub use tokenize::{sentences, tokenize, tokenize_keep_case};
 pub use vocab::{TokenId, Vocab};

@@ -1,44 +1,73 @@
-//! TF-IDF vectors and cosine similarity over sparse term maps.
+//! TF-IDF vectors and cosine similarity over sorted sparse term lists.
 //!
 //! GIANT uses TF-IDF similarity in several places: phrase normalization
 //! compares *context-enriched representations* (the phrase plus its top-5
 //! clicked titles, §3.1); document tagging scores concept/document coherence
 //! (§4); story-tree formation compares event entity sets (eq. 11).
 
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
-/// Sparse vector cosine similarity.
+/// The TF-IDF vector of one token multiset: its distinct terms in
+/// ascending order, each weighted `(count / total) * idf(term)`, and the
+/// Euclidean norm summed in that same order. Build it once per text with
+/// [`TfIdf::vectorize`] and compare it against many others with
+/// [`TfIdfVector::cosine`].
 ///
-/// Accumulation runs in sorted key order: float addition is
-/// order-sensitive, and `HashMap`'s per-instance random iteration order
-/// would make the same inputs produce answers differing in the last ulp
-/// from call to call — which the serving layer's byte-identical-responses
-/// guarantee cannot tolerate. The vectors here are short (titles, phrase
-/// contexts, entity sets), so the sort is noise.
-pub fn cosine_sparse(a: &HashMap<String, f64>, b: &HashMap<String, f64>) -> f64 {
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
-    fn sorted(m: &HashMap<String, f64>) -> Vec<(&str, f64)> {
-        let mut v: Vec<(&str, f64)> = m.iter().map(|(k, x)| (k.as_str(), *x)).collect();
-        v.sort_unstable_by(|x, y| x.0.cmp(y.0));
-        v
-    }
-    let sa = sorted(a);
-    let sb = sorted(b);
-    // Iterate the smaller side, in key order, probing the larger map.
-    let (small, large) = if a.len() <= b.len() { (&sa, b) } else { (&sb, a) };
-    let dot: f64 = small
-        .iter()
-        .filter_map(|(k, va)| large.get(*k).map(|vb| va * vb))
+/// Every sum runs in ascending term order: float addition is
+/// order-sensitive, and the serving layer's byte-identical-responses
+/// guarantee needs the same inputs to give the same bits on every call.
+/// Terms borrow from the tokens they were built from;
+/// [`TfIdfVector::into_owned`] detaches a vector that must outlive them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TfIdfVector<'a> {
+    terms: Vec<(Cow<'a, str>, f64)>,
+    norm: f64,
+}
+
+impl TfIdfVector<'_> {
+    /// Cosine similarity: a merge-join of the two ascending term lists.
+    /// `0.0` when either side is empty or has zero norm.
+    pub fn cosine(&self, other: &TfIdfVector<'_>) -> f64 {
+        let (a, b) = (&self.terms, &other.terms);
+        if a.is_empty() || b.is_empty() {
+            return 0.0;
+        }
+        let (mut i, mut j) = (0, 0);
+        let dot: f64 = std::iter::from_fn(|| {
+            while i < a.len() && j < b.len() {
+                match a[i].0.cmp(&b[j].0) {
+                    Ordering::Less => i += 1,
+                    Ordering::Greater => j += 1,
+                    Ordering::Equal => {
+                        let product = a[i].1 * b[j].1;
+                        i += 1;
+                        j += 1;
+                        return Some(product);
+                    }
+                }
+            }
+            None
+        })
         .sum();
-    let norm = |v: &[(&str, f64)]| -> f64 { v.iter().map(|(_, x)| x * x).sum::<f64>().sqrt() };
-    let na = norm(&sa);
-    let nb = norm(&sb);
-    if na == 0.0 || nb == 0.0 {
-        0.0
-    } else {
-        dot / (na * nb)
+        if self.norm == 0.0 || other.norm == 0.0 {
+            0.0
+        } else {
+            dot / (self.norm * other.norm)
+        }
+    }
+
+    /// The same vector with every term copied out of the borrowed tokens.
+    pub fn into_owned(self) -> TfIdfVector<'static> {
+        TfIdfVector {
+            terms: self
+                .terms
+                .into_iter()
+                .map(|(t, w)| (Cow::Owned(t.into_owned()), w))
+                .collect(),
+            norm: self.norm,
+        }
     }
 }
 
@@ -97,21 +126,17 @@ impl TfIdf {
         (1.0 + self.n_docs as f64 / (1.0 + df)).ln()
     }
 
-    /// TF-IDF vector for a token multiset.
-    pub fn vector<'a, I: IntoIterator<Item = &'a str>>(&self, tokens: I) -> HashMap<String, f64> {
-        let mut tf: HashMap<String, f64> = HashMap::new();
-        let mut total = 0.0f64;
-        for t in tokens {
-            *tf.entry(t.to_owned()).or_insert(0.0) += 1.0;
-            total += 1.0;
-        }
-        if total == 0.0 {
-            return tf;
-        }
-        for (term, v) in tf.iter_mut() {
-            *v = (*v / total) * self.idf(term);
-        }
-        tf
+    /// The TF-IDF vector of a token multiset.
+    pub fn vectorize<'a, I: IntoIterator<Item = &'a str>>(&self, tokens: I) -> TfIdfVector<'a> {
+        let mut tokens: Vec<&'a str> = tokens.into_iter().collect();
+        tokens.sort_unstable();
+        let total = tokens.len() as f64;
+        let terms: Vec<(Cow<'a, str>, f64)> = tokens
+            .chunk_by(|a, b| a == b)
+            .map(|run| (Cow::Borrowed(run[0]), (run.len() as f64 / total) * self.idf(run[0])))
+            .collect();
+        let norm = terms.iter().map(|(_, w)| w * w).sum::<f64>().sqrt();
+        TfIdfVector { terms, norm }
     }
 
     /// TF-IDF cosine similarity of two token multisets.
@@ -120,7 +145,7 @@ impl TfIdf {
         I: IntoIterator<Item = &'a str>,
         J: IntoIterator<Item = &'a str>,
     {
-        cosine_sparse(&self.vector(a), &self.vector(b))
+        self.vectorize(a).cosine(&self.vectorize(b))
     }
 }
 
@@ -169,7 +194,7 @@ mod tests {
     fn empty_inputs() {
         let t = table();
         assert_eq!(t.similarity([], ["a"]), 0.0);
-        assert_eq!(cosine_sparse(&HashMap::new(), &HashMap::new()), 0.0);
+        assert_eq!(t.similarity([], []), 0.0);
     }
 
     #[test]
