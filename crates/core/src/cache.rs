@@ -108,14 +108,23 @@ impl MineOutcome {
     /// merely re-discovers a dictionary entity.
     pub(crate) fn resolve(&self, entity_surfaces: &HashSet<String>) -> Option<ClusterCandidate> {
         match self {
-            MineOutcome::Dead => None,
-            MineOutcome::Decoded { surface, cand } => {
-                if entity_surfaces.contains(surface) {
-                    None
-                } else {
-                    Some(cand.clone())
-                }
+            MineOutcome::Decoded { surface, cand } if !entity_surfaces.contains(surface) => {
+                Some(cand.clone())
             }
+            _ => None,
+        }
+    }
+
+    /// [`resolve`](Self::resolve) of an outcome that is not kept.
+    pub(crate) fn into_candidate(
+        self,
+        entity_surfaces: &HashSet<String>,
+    ) -> Option<ClusterCandidate> {
+        match self {
+            MineOutcome::Decoded { surface, cand } if !entity_surfaces.contains(&surface) => {
+                Some(cand)
+            }
+            _ => None,
         }
     }
 }
@@ -234,9 +243,54 @@ fn push_present(
     present.dedup();
 }
 
+/// The entity dictionary indexed by first token, answering "the first
+/// entity in dictionary order whose token sequence occurs in these tokens".
+#[derive(Debug)]
+pub(crate) struct EntityIndex<'a> {
+    entities: &'a [Entity],
+    by_first: HashMap<&'a str, Vec<u32>>,
+}
+
+impl<'a> EntityIndex<'a> {
+    pub(crate) fn new(entities: &'a [Entity]) -> Self {
+        Self {
+            entities,
+            by_first: first_token_index(entities, 0),
+        }
+    }
+
+    /// The smallest id `>= from` of an entity whose tokens occur
+    /// contiguously in `tokens` — what
+    /// `entities[from..].iter().position(contains_seq)` finds, offset by
+    /// `from`. An entity occurs iff it starts at some position of
+    /// `tokens`, and then it is in that position's first-token list; so
+    /// the smallest verified candidate over all positions is the first
+    /// occurring entity. An entity with no tokens occurs nowhere, as in
+    /// `contains_seq`.
+    pub(crate) fn first_occurring(&self, tokens: &[String], from: usize) -> Option<usize> {
+        let mut best: Option<u32> = None;
+        for (at, token) in tokens.iter().enumerate() {
+            let Some(ids) = self.by_first.get(token.as_str()) else {
+                continue;
+            };
+            let start = ids.partition_point(|&ei| (ei as usize) < from);
+            for &ei in &ids[start..] {
+                if best.is_some_and(|b| ei >= b) {
+                    break;
+                }
+                if tokens[at..].starts_with(&self.entities[ei as usize].0) {
+                    best = Some(ei);
+                    break;
+                }
+            }
+        }
+        best.map(|ei| ei as usize)
+    }
+}
+
 /// Memo of `find_entity` (first dictionary entity contained in a query)
 /// per query text. `None` results remember how much of the dictionary they
-/// checked: when the dictionary grows, only the appended tail is scanned —
+/// checked: when the dictionary grows, only the appended tail is searched —
 /// the first match among new entities *is* the global first match, because
 /// every earlier entity already missed.
 #[derive(Debug, Clone, Default)]
@@ -247,32 +301,15 @@ pub(crate) struct EntityLookupCache {
 impl EntityLookupCache {
     /// First entity (by dictionary order) whose token sequence occurs in
     /// `query`, memoized.
-    pub(crate) fn find(
-        &mut self,
-        query: &str,
-        entities: &[(Vec<String>, String)],
-    ) -> Option<usize> {
-        let n = entities.len();
-        if let Some(&(hit, checked)) = self.map.get(query) {
-            if let Some(i) = hit {
-                return Some(i as usize);
-            }
-            if checked == n {
-                return None;
-            }
-            let qt = giant_text::tokenize(query);
-            let found = entities[checked..]
-                .iter()
-                .position(|(toks, _)| crate::util::contains_seq(&qt, toks).is_some())
-                .map(|off| checked + off);
-            self.map
-                .insert(query.to_owned(), (found.map(|i| i as u32), n));
-            return found;
-        }
-        let qt = giant_text::tokenize(query);
-        let found = entities
-            .iter()
-            .position(|(toks, _)| crate::util::contains_seq(&qt, toks).is_some());
+    pub(crate) fn find(&mut self, query: &str, index: &EntityIndex<'_>) -> Option<usize> {
+        let n = index.entities.len();
+        let from = match self.map.get(query) {
+            Some(&(Some(hit), _)) => return Some(hit as usize),
+            Some(&(None, checked)) if checked == n => return None,
+            Some(&(None, checked)) => checked,
+            None => 0,
+        };
+        let found = index.first_occurring(&giant_text::tokenize(query), from);
         self.map
             .insert(query.to_owned(), (found.map(|i| i as u32), n));
         found
@@ -427,6 +464,61 @@ mod tests {
             // Nothing new: a sync is an identity.
             cache.sync(&input);
             assert_eq!(cache.entity_presence, brute_force(&input), "seed {seed}: idle sync");
+        }
+    }
+
+    /// `find_entity` by definition: the first entity in dictionary order
+    /// whose tokens `contains_seq` finds in the query.
+    fn linear_scan(entities: &[Entity], query: &str) -> Option<usize> {
+        let qt = giant_text::tokenize(query);
+        entities
+            .iter()
+            .position(|(toks, _)| crate::util::contains_seq(&qt, toks).is_some())
+    }
+
+    #[test]
+    fn indexed_entity_lookup_equals_the_linear_scan() {
+        for seed in 0..24 {
+            let mut rng = StdRng::seed_from_u64(100 + seed);
+            // Shared first tokens, repeated surfaces, one entity longer
+            // than any query and one with no tokens.
+            let mut entities = random_entities(&mut rng, 30);
+            let queries: Vec<String> = (0..60)
+                .map(|_| {
+                    let len = rng.random_range(0..7);
+                    words(&mut rng, len).join(" ")
+                })
+                .collect();
+            let mut memo = EntityLookupCache::default();
+            let mut hits = 0;
+            for round in 0..3 {
+                let index = EntityIndex::new(&entities);
+                for q in &queries {
+                    let want = linear_scan(&entities, q);
+                    hits += usize::from(want.is_some());
+                    let qt = giant_text::tokenize(q);
+                    assert_eq!(index.first_occurring(&qt, 0), want, "seed {seed}: {q:?}");
+                    for from in [1, 7, 29, entities.len()] {
+                        let tail = entities[from.min(entities.len())..]
+                            .iter()
+                            .position(|(t, _)| crate::util::contains_seq(&qt, t).is_some())
+                            .map(|i| from + i);
+                        let what = format!("seed {seed}: {q:?} from {from}");
+                        assert_eq!(index.first_occurring(&qt, from), tail, "{what}");
+                    }
+                    // The memo answers the scan over the whole dictionary
+                    // as it stands; a miss records how much it checked.
+                    assert_eq!(memo.find(q, &index), want, "seed {seed} round {round}: {q:?}");
+                    let (hit, checked) = memo.map[q.as_str()];
+                    assert_eq!(hit, want.map(|i| i as u32), "seed {seed}: memo of {q:?}");
+                    if hit.is_none() {
+                        assert_eq!(checked, entities.len(), "seed {seed}: memo of {q:?}");
+                    }
+                }
+                // The dictionary grows between runs.
+                entities.extend(random_entities(&mut rng, 10));
+            }
+            assert!(hits > 0 && hits < 3 * queries.len(), "seed {seed}: hits and misses");
         }
     }
 }

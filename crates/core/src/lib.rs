@@ -22,6 +22,7 @@
 #![forbid(unsafe_code)]
 
 pub mod align;
+mod annotations;
 pub mod bootstrap;
 pub mod cache;
 pub mod ckpt;

@@ -8,7 +8,6 @@
 //! * Entity↔entity (`correlate`): embeddings trained with a hinge loss on
 //!   co-occurrence pairs; pairs closer than a distance threshold correlate.
 
-use giant_nn::loss::hinge_triplet;
 use giant_nn::{Gbdt, GbdtConfig};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -176,7 +175,10 @@ impl Default for CorrelateConfig {
 /// Trained correlate embeddings.
 #[derive(Debug, Clone)]
 pub struct CorrelateModel {
-    vectors: Vec<Vec<f64>>,
+    /// Row-major `n × dim` embedding table.
+    vectors: Vec<f64>,
+    n: usize,
+    dim: usize,
     /// Distance threshold below which a pair correlates.
     pub threshold: f64,
 }
@@ -184,11 +186,18 @@ pub struct CorrelateModel {
 impl CorrelateModel {
     /// Trains embeddings on co-occurrence `positives` over `n` entities and
     /// calibrates the threshold from the positive-pair distance percentile.
+    ///
+    /// Each step is the hinge triplet of [`hinge_triplet`] on the
+    /// `(a, b, negative)` rows, updated in place: the three rows are
+    /// distinct, so coordinate `i`'s gradients read only coordinate `i`,
+    /// and computing and applying them one coordinate at a time gives the
+    /// bits of computing every gradient first.
+    ///
+    /// [`hinge_triplet`]: giant_nn::loss::hinge_triplet
     pub fn train(n: usize, positives: &[(usize, usize)], cfg: &CorrelateConfig) -> Self {
+        let dim = cfg.dim;
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut vectors: Vec<Vec<f64>> = (0..n)
-            .map(|_| (0..cfg.dim).map(|_| rng.random::<f64>() - 0.5).collect())
-            .collect();
+        let mut vectors: Vec<f64> = (0..n * dim).map(|_| rng.random::<f64>() - 0.5).collect();
         if n >= 2 {
             for _ in 0..cfg.epochs {
                 for &(a, b) in positives {
@@ -206,54 +215,71 @@ impl CorrelateModel {
                     if neg == a || neg == b {
                         continue;
                     }
-                    let (loss, ga, gp, gn) =
-                        hinge_triplet(&vectors[a], &vectors[b], &vectors[neg], cfg.margin);
+                    let row = |i: usize| &vectors[i * dim..(i + 1) * dim];
+                    let (va, vp, vn) = (row(a), row(b), row(neg));
+                    let d_pos: f64 = va.iter().zip(vp).map(|(a, p)| (a - p) * (a - p)).sum();
+                    let d_neg: f64 = va.iter().zip(vn).map(|(a, n)| (a - n) * (a - n)).sum();
+                    let loss = (cfg.margin + d_pos - d_neg).max(0.0);
                     if loss == 0.0 {
                         continue;
                     }
-                    for i in 0..cfg.dim {
-                        vectors[a][i] -= cfg.lr * ga[i];
-                        vectors[b][i] -= cfg.lr * gp[i];
-                        vectors[neg][i] -= cfg.lr * gn[i];
+                    let (a, b, neg) = (a * dim, b * dim, neg * dim);
+                    for i in 0..dim {
+                        let (x, p, q) = (vectors[a + i], vectors[b + i], vectors[neg + i]);
+                        let ga = 2.0 * (x - p) - 2.0 * (x - q);
+                        let gp = -2.0 * (x - p);
+                        let gn = 2.0 * (x - q);
+                        vectors[a + i] -= cfg.lr * ga;
+                        vectors[b + i] -= cfg.lr * gp;
+                        vectors[neg + i] -= cfg.lr * gn;
                     }
                 }
             }
         }
+        let mut model = Self {
+            vectors,
+            n,
+            dim,
+            threshold: 0.0,
+        };
         // Calibrate the threshold on positive distances.
         let mut dists: Vec<f64> = positives
             .iter()
             .filter(|(a, b)| *a < n && *b < n && a != b)
-            .map(|&(a, b)| euclidean(&vectors[a], &vectors[b]))
+            .map(|&(a, b)| model.distance(a, b))
             .collect();
         dists.sort_by(|x, y| x.total_cmp(y));
-        let threshold = if dists.is_empty() {
-            0.0
-        } else {
+        if !dists.is_empty() {
             let idx = ((dists.len() as f64 - 1.0) * cfg.threshold_percentile) as usize;
-            dists[idx]
-        };
-        Self { vectors, threshold }
+            model.threshold = dists[idx];
+        }
+        model
+    }
+
+    /// The embedding of entity `i`.
+    pub fn vector(&self, i: usize) -> &[f64] {
+        &self.vectors[i * self.dim..(i + 1) * self.dim]
     }
 
     /// Euclidean distance between two entities.
     pub fn distance(&self, a: usize, b: usize) -> f64 {
-        euclidean(&self.vectors[a], &self.vectors[b])
+        euclidean(self.vector(a), self.vector(b))
     }
 
     /// Number of embedded entities.
     pub fn len(&self) -> usize {
-        self.vectors.len()
+        self.n
     }
 
     /// True when no entities are embedded.
     pub fn is_empty(&self) -> bool {
-        self.vectors.is_empty()
+        self.len() == 0
     }
 
-    /// All pairs within the calibrated threshold (`O(n²)`; entity counts in
-    /// one mining batch are small).
+    /// All pairs within the calibrated threshold, `(a, b)` ascending. The
+    /// scan tries every pair, `O(n² · dim)` in the dictionary size `n`.
     pub fn correlated_pairs(&self) -> Vec<(usize, usize, f64)> {
-        let n = self.vectors.len();
+        let n = self.len();
         let mut out = Vec::new();
         for a in 0..n {
             for b in a + 1..n {

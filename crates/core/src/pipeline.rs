@@ -6,9 +6,10 @@
 //! dictionary + an annotator) and two trained GCTSP-Net models. The `giant`
 //! facade crate adapts `giant-data`'s synthetic world into this form.
 
+use crate::annotations::{AnnotationTable, TextRefs};
 use crate::cache::{
-    CacheStats, EntityLookupCache, MineEntry, MineFingerprint, MineOutcome, PipelineCaches,
-    TextCache,
+    CacheStats, EntityIndex, EntityLookupCache, MineEntry, MineFingerprint, MineOutcome,
+    PipelineCaches, TextCache,
 };
 use crate::config::GiantConfig;
 use crate::decode::decode_tokens;
@@ -19,10 +20,11 @@ use crate::link::{
     CorrelateModel,
 };
 use crate::normalize::Normalizer;
+use crate::qtig::QtigInput;
 
 use crate::train::GiantModels;
 use giant_graph::plan::{plan_clusters_cached, plan_clusters_parallel, ClusterWorkItem};
-use giant_graph::{ClickGraph, DocId};
+use giant_graph::{ClickGraph, DocId, QueryId};
 use giant_nn::GbdtConfig;
 use giant_ontology::{EventRole, NodeId, NodeKind, Ontology, Phrase};
 use giant_text::{Annotator, NerTag, PosTag};
@@ -245,9 +247,10 @@ fn run_impl(
     };
     timed(&mut timings, "register_categories", || register_categories(input, &mut out));
     timed(&mut timings, "register_entities", || register_entities(input, &mut out));
-    mine_attentions(input, models, cfg, &mut out, mine_caches, text, &mut timings);
+    let (annotations, refs) =
+        mine_attentions(input, models, cfg, &mut out, mine_caches, text, &mut timings);
     timed(&mut timings, "event_elements", || {
-        recognize_event_elements(input, models, cfg, &mut out, roles)
+        recognize_event_elements(input, models, cfg, &mut out, roles, annotations, &refs)
     });
     timed(&mut timings, "link_categories", || link_categories(input, cfg, &mut out));
     timed(&mut timings, "link_concept_entities", || {
@@ -341,10 +344,24 @@ pub(crate) struct ClusterCandidate {
     /// Earliest clicked-document day.
     pub(crate) day: Option<u32>,
     /// Context-enriched representation (phrase tokens + tokenized top
-    /// titles), precomputed once at mining time so the merge phase never
-    /// re-tokenizes; bit-equal to `Normalizer::context_repr` on the same
-    /// inputs.
+    /// titles), bit-equal to `Normalizer::context_repr` on the same inputs.
+    /// Empty as [`mine_cluster_raw`] returns it: the merge builds it from
+    /// the annotation table, so nothing is tokenized twice, and the mine
+    /// cache stores it.
     pub(crate) context: Vec<String>,
+}
+
+/// The ids of the documents `item` clicked that exist, in cluster order:
+/// the documents whose titles mining reads.
+fn titled_docs<'a>(
+    input: &'a PipelineInput,
+    item: &'a ClusterWorkItem,
+) -> impl Iterator<Item = u32> + 'a {
+    item.cluster
+        .docs
+        .iter()
+        .map(|(d, _)| d.0)
+        .filter(|&d| (d as usize) < input.docs.len())
 }
 
 /// The expensive, **pure** per-cluster work of Algorithm 1: QTIG build,
@@ -353,30 +370,21 @@ pub(crate) struct ClusterCandidate {
 /// the entity dictionary may grow between incremental runs without
 /// touching the cluster). No shared mutable state — safe to run on any
 /// worker thread in any order, and safe to memoize under the
-/// [`MineFingerprint`] contract.
+/// [`MineFingerprint`] contract. `table` must hold the item's texts.
 fn mine_cluster_raw(
     input: &PipelineInput,
     models: &GiantModels,
+    table: &AnnotationTable,
     scratch: &mut InferScratch,
     item: &ClusterWorkItem,
 ) -> MineOutcome {
     let stopwords = &input.annotator.stopwords;
-    let queries: Vec<String> = item
-        .cluster
-        .queries
-        .iter()
-        .map(|(cq, _)| input.click_graph.query_text(*cq).to_owned())
-        .collect();
-    let titles: Vec<String> = item
-        .cluster
-        .docs
-        .iter()
-        .filter_map(|(d, _)| input.docs.get(d.index()).map(|doc| doc.title.clone()))
-        .collect();
-    if titles.is_empty() {
+    let docs: Vec<u32> = titled_docs(input, item).collect();
+    if docs.is_empty() {
         return MineOutcome::Dead;
     }
-    let qtig = crate::train::build_cluster_qtig(&input.annotator, &queries, &titles);
+    let query_ids: Vec<u32> = item.cluster.queries.iter().map(|(q, _)| q.0).collect();
+    let qtig = table.qtig(&query_ids, &docs);
     let positives = models.phrase_model.predict_positive_nodes_with(scratch, &qtig);
     let tokens = decode_tokens(&qtig, &positives);
     if tokens.is_empty() || tokens.iter().all(|t| stopwords.is_stop(t)) {
@@ -388,15 +396,18 @@ fn mine_cluster_raw(
         .any(|t| input.annotator.lexicon.tag(t) == PosTag::Verb);
     let support = input.click_graph.query_clicks(item.seed);
     let clicked: Vec<usize> = item.cluster.docs.iter().map(|(d, _)| d.index()).collect();
-    let top_titles: Vec<String> = titles.iter().take(5).cloned().collect();
+    let top_titles: Vec<String> = docs[..docs.len().min(TOP_TITLES)]
+        .iter()
+        .map(|&d| input.docs[d as usize].title.clone())
+        .collect();
     let day = clicked
         .iter()
         .filter_map(|&d| input.docs.get(d).map(|doc| doc.day))
         .min();
-    let mut context = tokens.clone();
-    for t in top_titles.iter().take(5) {
-        context.extend(giant_text::tokenize(t));
-    }
+    let queries: Vec<String> = query_ids
+        .iter()
+        .map(|&q| input.click_graph.query_text(QueryId(q)).to_owned())
+        .collect();
     MineOutcome::Decoded {
         surface,
         cand: ClusterCandidate {
@@ -407,10 +418,38 @@ fn mine_cluster_raw(
             top_titles,
             clicked,
             day,
-            context,
+            // Filled by the merge (see `merge_context`).
+            context: Vec::new(),
         },
     }
 }
+
+/// The context-enriched representation of a candidate decoded from
+/// `item`: its phrase tokens, then the tokens of its top titles — the
+/// tokenization the annotation table holds, bit-equal to
+/// `Normalizer::context_repr`. Built by the merge on the calling thread,
+/// not by the workers: a context is a few dozen small strings, and built
+/// on the workers every candidate's would be alive at once, spread over
+/// the workers' heaps, until the merge consumed them.
+fn merge_context(
+    input: &PipelineInput,
+    table: &AnnotationTable,
+    item: &ClusterWorkItem,
+    tokens: &[String],
+) -> Vec<String> {
+    let titles: Vec<_> = titled_docs(input, item)
+        .take(TOP_TITLES)
+        .map(|d| table.title(d))
+        .collect();
+    let mut context =
+        Vec::with_capacity(tokens.len() + titles.iter().map(|t| t.n_tokens()).sum::<usize>());
+    context.extend(tokens.iter().cloned());
+    context.extend(titles.iter().flat_map(|t| t.token_texts().map(str::to_owned)));
+    context
+}
+
+/// Titles kept per candidate (the context-enriched representation).
+const TOP_TITLES: usize = 5;
 
 /// Phase 1: Algorithm 1 as plan → execute → merge.
 ///
@@ -418,14 +457,19 @@ fn mine_cluster_raw(
 ///   disjoint [`ClusterWorkItem`]s, reproducing the old covered-set
 ///   loop's seed selection exactly. The extraction walks are speculated
 ///   across workers; the acceptance pass stays sequential.
-/// * **Execute** (parallel): [`mine_cluster_raw`] runs QTIG build + GCTSP
-///   inference + decode per item on `cfg.threads` scoped workers, each with
-///   its own [`InferScratch`]; `giant-exec` returns candidates **in plan
-///   order** regardless of thread count or scheduling.
+/// * **Execute** (parallel): the distinct texts of the clusters to mine are
+///   annotated once into an [`AnnotationTable`]; then [`mine_cluster_raw`]
+///   runs QTIG build + GCTSP inference + decode per item on `cfg.threads`
+///   scoped workers, each with its own [`InferScratch`]; `giant-exec`
+///   returns candidates **in plan order** regardless of thread count or
+///   scheduling.
 /// * **Merge** (sequential, deterministic): candidates feed the
 ///   [`Normalizer`]s in plan order — the same order the interleaved loop
 ///   used — so the resulting ontology is byte-identical at every thread
 ///   count (see `tests/golden_snapshot.rs` and `tests/determinism.rs`).
+///
+/// Returns the annotation table and, aligned with `out.mined`, the ids of
+/// the texts each mined attention's role inference reads.
 fn mine_attentions(
     input: &PipelineInput,
     models: &GiantModels,
@@ -434,7 +478,7 @@ fn mine_attentions(
     caches: Option<(&mut giant_graph::plan::PlanCache, &mut HashMap<u32, MineEntry>)>,
     text: &TextCache,
     timings: &mut StageTimings,
-) {
+) -> (AnnotationTable, Vec<TextRefs>) {
     let stopwords = &input.annotator.stopwords;
     // TF-IDF over titles (shared text cache) for normalization contexts.
     let mut concept_norm = Normalizer::new(&text.tfidf, stopwords.clone(), cfg.delta_m);
@@ -444,6 +488,7 @@ fn mine_attentions(
     struct GroupMeta {
         queries: Vec<String>,
         titles: Vec<String>,
+        refs: TextRefs,
         docs: Vec<usize>,
         day: Option<u32>,
     }
@@ -452,105 +497,129 @@ fn mine_attentions(
 
     let entity_surfaces: HashSet<String> = out.entity_nodes.keys().cloned().collect();
 
-    // Plan + execute. The extraction walks inside planning are themselves
-    // the costliest part of mining, so the planner speculates batches of
-    // them across the same worker budget (see `plan_clusters_parallel`).
-    // With caches, seeds whose walk footprint survived invalidation skip
-    // the walk (`plan_clusters_cached`) and clusters whose fingerprint is
-    // unchanged skip inference entirely — both reproduce the uncached
-    // bytes exactly (see `crate::cache`).
-    let candidates: Vec<Option<ClusterCandidate>> = match caches {
-        Some((plan_cache, mine_cache)) => {
-            let span = giant_obs::span("mine.plan");
-            let plan = plan_clusters_cached(
-                &input.click_graph,
-                stopwords,
-                &cfg.cluster,
-                cfg.threads,
-                plan_cache,
-            );
-            timings.record("mine.plan", span.finish_secs());
-            let span = giant_obs::span("mine.execute");
-            let mine = &*mine_cache;
-            let plan_reused = &plan.reused;
-            let results: Vec<(Option<ClusterCandidate>, Option<MineEntry>)> =
-                giant_exec::run_ordered_scratch(
-                    &plan.items,
-                    cfg.threads,
-                    InferScratch::default,
-                    |scratch, i, item| {
-                        if plan_reused.get(i).copied().unwrap_or(false) {
-                            // The planner certifies this cluster unchanged
-                            // since the seed's last fold as an item, and the
-                            // mine entry is rewritten on every mismatch — so
-                            // a plan-reused item's entry is fresh without
-                            // re-fingerprinting (see `ClusterPlan::reused`).
-                            if let Some(e) = mine.get(&item.seed.0) {
-                                return (e.outcome.resolve(&entity_surfaces), None);
-                            }
-                        }
-                        let fp = MineFingerprint::of(item, &input.click_graph);
-                        if let Some(e) = mine.get(&item.seed.0) {
-                            if e.fp == fp {
-                                // Hit: the memoized outcome is what mining
-                                // would decode; only the entity filter may
-                                // have changed since, so re-apply it.
-                                return (e.outcome.resolve(&entity_surfaces), None);
-                            }
-                        }
-                        let outcome = mine_cluster_raw(input, models, scratch, item);
-                        let cand = outcome.resolve(&entity_surfaces);
-                        (cand, Some(MineEntry { fp, outcome }))
-                    },
-                );
-            let mut stats = CacheStats {
-                plan_reused: plan_cache.reused,
-                plan_walked: plan_cache.walked,
-                ..CacheStats::default()
-            };
-            let mut candidates = Vec::with_capacity(results.len());
-            for (item, (cand, fresh)) in plan.items.iter().zip(results) {
-                match fresh {
-                    Some(entry) => {
-                        stats.clusters_mined += 1;
-                        mine_cache.insert(item.seed.0, entry);
-                    }
-                    None => stats.clusters_reused += 1,
-                }
-                candidates.push(cand);
-            }
-            out.cache_stats = stats;
-            timings.record("mine.execute", span.finish_secs());
-            candidates
-        }
-        None => {
-            let span = giant_obs::span("mine.plan");
-            let plan =
-                plan_clusters_parallel(&input.click_graph, stopwords, &cfg.cluster, cfg.threads);
-            timings.record("mine.plan", span.finish_secs());
-            let span = giant_obs::span("mine.execute");
-            // The uncached path is the cached path's raw + resolve
-            // composition with nothing memoized.
-            let candidates = giant_exec::run_ordered_scratch(
-                &plan.items,
-                cfg.threads,
-                InferScratch::default,
-                |scratch, _, item| {
-                    mine_cluster_raw(input, models, scratch, item).resolve(&entity_surfaces)
-                },
-            );
-            out.cache_stats = CacheStats {
-                plan_walked: plan.items.len(),
-                clusters_mined: plan.items.len(),
-                ..CacheStats::default()
-            };
-            timings.record("mine.execute", span.finish_secs());
-            candidates
-        }
+    // Plan. The extraction walks inside planning are themselves the
+    // costliest part of mining, so the planner speculates batches of them
+    // across the same worker budget (see `plan_clusters_parallel`). With
+    // caches, seeds whose walk footprint survived invalidation skip the
+    // walk (`plan_clusters_cached`) — reproducing the uncached bytes
+    // exactly (see `crate::cache`).
+    let (mut plan_cache, mine_cache) = caches.unzip();
+    let span = giant_obs::span("mine.plan");
+    let plan = match plan_cache.as_deref_mut() {
+        Some(pc) => plan_clusters_cached(
+            &input.click_graph,
+            stopwords,
+            &cfg.cluster,
+            cfg.threads,
+            pc,
+        ),
+        None => plan_clusters_parallel(&input.click_graph, stopwords, &cfg.cluster, cfg.threads),
     };
-    // Merge, in plan order.
+    timings.record("mine.plan", span.finish_secs());
+
+    // Execute. Per item, the memoized outcome when the mine cache holds a
+    // fresh one; the fingerprints of the others, to file their fresh
+    // outcomes under (none without a cache).
+    let span = giant_obs::span("mine.execute");
+    let mut fingerprints = Vec::new();
+    let memo: Vec<Option<&MineOutcome>> = match mine_cache.as_deref() {
+        None => vec![None; plan.items.len()],
+        Some(mine) => plan
+            .items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| {
+                let entry = mine.get(&item.seed.0);
+                if plan.reused.get(i).copied().unwrap_or(false) {
+                    // The planner certifies this cluster unchanged since the
+                    // seed's last fold as an item, and the mine entry is
+                    // rewritten on every mismatch — so a plan-reused item's
+                    // entry is fresh without re-fingerprinting (see
+                    // `ClusterPlan::reused`).
+                    if let Some(e) = entry {
+                        return Some(&e.outcome);
+                    }
+                }
+                let fp = MineFingerprint::of(item, &input.click_graph);
+                match entry {
+                    // Hit: the memoized outcome is what mining would
+                    // decode; only the entity filter may have changed
+                    // since, so it is re-applied at the merge.
+                    Some(e) if e.fp == fp => Some(&e.outcome),
+                    _ => {
+                        fingerprints.push(fp);
+                        None
+                    }
+                }
+            })
+            .collect(),
+    };
+    // One annotation per distinct text of the clusters that are mined.
+    let mut table = AnnotationTable::default();
+    let to_mine: Vec<&ClusterWorkItem> = plan
+        .items
+        .iter()
+        .zip(&memo)
+        .filter(|(item, m)| m.is_none() && titled_docs(input, item).next().is_some())
+        .map(|(item, _)| item)
+        .collect();
+    table.extend(
+        input,
+        cfg.threads,
+        to_mine.iter().flat_map(|it| it.cluster.queries.iter().map(|(q, _)| q.0)),
+        to_mine.iter().flat_map(|it| titled_docs(input, it)),
+    );
+    // Per item, the outcome of a cluster that is mined (`None` when the
+    // memoized one is reused).
+    let fresh: Vec<Option<MineOutcome>> = giant_exec::run_ordered_scratch(
+        &plan.items,
+        cfg.threads,
+        InferScratch::default,
+        |scratch, i, item| {
+            memo[i]
+                .is_none()
+                .then(|| mine_cluster_raw(input, models, &table, scratch, item))
+        },
+    );
+    let mut stats = CacheStats::default();
+    match plan_cache {
+        Some(pc) => (stats.plan_reused, stats.plan_walked) = (pc.reused, pc.walked),
+        None => stats.plan_walked = plan.items.len(),
+    }
+    stats.clusters_mined = fresh.iter().filter(|o| o.is_some()).count();
+    stats.clusters_reused = fresh.len() - stats.clusters_mined;
+    out.cache_stats = stats;
+    timings.record("mine.execute", span.finish_secs());
+
+    // Merge, in plan order. The entity filter applies here, to reused
+    // outcomes too: the dictionary may have grown since they were
+    // memoized. Fresh candidates get their merge context here; fresh
+    // outcomes are filed in the mine cache, context included, afterwards.
     let merge_span = giant_obs::span("mine.merge");
-    for cand in candidates.into_iter().flatten() {
+    let mut fingerprints = fingerprints.into_iter();
+    let mut filed = Vec::new();
+    for ((item, memo), fresh) in plan.items.iter().zip(memo).zip(fresh) {
+        let cand = match (memo, fresh) {
+            (Some(reused), _) => reused.resolve(&entity_surfaces),
+            (None, Some(mut outcome)) => match fingerprints.next() {
+                Some(fp) => {
+                    if let MineOutcome::Decoded { cand, .. } = &mut outcome {
+                        cand.context = merge_context(input, &table, item, &cand.tokens);
+                    }
+                    let cand = outcome.resolve(&entity_surfaces);
+                    filed.push((item.seed.0, MineEntry { fp, outcome }));
+                    cand
+                }
+                None => outcome.into_candidate(&entity_surfaces).map(|mut cand| {
+                    cand.context = merge_context(input, &table, item, &cand.tokens);
+                    cand
+                }),
+            },
+            (None, None) => unreachable!("every item without a memo is mined"),
+        };
+        let Some(cand) = cand else {
+            continue;
+        };
         let (norm, meta) = if cand.is_event {
             (&mut event_norm, &mut event_meta)
         } else {
@@ -563,14 +632,28 @@ fn mine_attentions(
         let m = &mut meta[gi];
         m.queries.extend(cand.queries);
         m.titles = cand.top_titles;
+        if cand.is_event {
+            // The ids behind the texts just merged, for role inference: a
+            // candidate's queries are its cluster's, and its top titles
+            // those of the first titled docs (a reused candidate's cluster
+            // has the same ids — its fingerprint says so).
+            m.refs
+                .queries
+                .extend(item.cluster.queries.iter().map(|(q, _)| q.0));
+            m.refs.top_docs = titled_docs(input, item).take(TOP_TITLES).collect();
+        }
         m.docs.extend(cand.clicked);
         m.day = match (m.day, cand.day) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
     }
+    if let Some(mine) = mine_cache {
+        mine.extend(filed);
+    }
 
     // Materialise ontology nodes from the normalized groups.
+    let mut refs = Vec::new();
     for (norm, meta, kind) in [
         (concept_norm, concept_meta, NodeKind::Concept),
         (event_norm, event_meta, NodeKind::Event),
@@ -603,9 +686,11 @@ fn mine_attentions(
                 top_titles: m.titles,
                 clicked_docs: m.docs,
             });
+            refs.push(m.refs);
         }
     }
     timings.record("mine.merge", merge_span.finish_secs());
+    (table, refs)
 }
 
 /// Phase 2a: 4-class GCTSP over event clusters → trigger/entity/location +
@@ -616,22 +701,36 @@ fn mine_attentions(
 /// all events at once, on `cfg.threads` workers; with a cache the per-token
 /// roles are memoized under exactly that key and only the misses are
 /// inferred. The span matching and node creation below stay sequential
-/// (they read and grow the shared entity map in mining order).
+/// (they read and grow the shared entity map in mining order). The QTIGs
+/// are built from the run's annotation `table`, over the texts `refs`
+/// names (aligned with `out.mined`); the table is dropped on return.
 fn recognize_event_elements(
     input: &PipelineInput,
     models: &GiantModels,
     cfg: &GiantConfig,
     out: &mut GiantOutput,
     roles_cache: Option<&mut HashMap<String, Vec<EventRole>>>,
+    mut table: AnnotationTable,
+    refs: &[TextRefs],
 ) {
     let events: Vec<usize> = (0..out.mined.len())
         .filter(|&mi| out.mined[mi].kind == NodeKind::Event)
         .collect();
     // Per-position roles; a token string always maps to one QTIG node, so
     // this equals the historical per-string lookup.
-    let infer = |scratch: &mut InferScratch, m: &MinedAttention| -> Vec<EventRole> {
-        let qtig =
-            crate::train::build_cluster_qtig(&input.annotator, &m.source_queries, &m.top_titles);
+    let infer = |table: &AnnotationTable, scratch: &mut InferScratch, mi: usize| {
+        let (m, r) = (&out.mined[mi], &refs[mi]);
+        debug_assert!(r
+            .queries
+            .iter()
+            .map(|&q| input.click_graph.query_text(QueryId(q)))
+            .eq(m.source_queries.iter().map(String::as_str)));
+        debug_assert!(r
+            .top_docs
+            .iter()
+            .map(|&d| &input.docs[d as usize].title)
+            .eq(&m.top_titles));
+        let qtig = table.qtig(&r.queries, &r.top_docs);
         let classes = models.role_model.predict_classes_with(scratch, &qtig);
         m.tokens
             .iter()
@@ -642,9 +741,19 @@ fn recognize_event_elements(
             })
             .collect()
     };
-    let infer_all = |which: &[usize]| -> Vec<Vec<EventRole>> {
+    // The QTIGs come from the mining-time annotations; only texts of
+    // clusters that were not mined in this run (a cached run's reused
+    // ones) are annotated here.
+    let mut infer_all = |which: &[usize]| -> Vec<Vec<EventRole>> {
+        table.extend(
+            input,
+            cfg.threads,
+            which.iter().flat_map(|&mi| refs[mi].queries.iter().copied()),
+            which.iter().flat_map(|&mi| refs[mi].top_docs.iter().copied()),
+        );
+        let table = &table;
         giant_exec::run_ordered_scratch(which, cfg.threads, InferScratch::default, |s, _, &mi| {
-            infer(s, &out.mined[mi])
+            infer(table, s, mi)
         })
     };
     let event_roles: Vec<Vec<EventRole>> = match roles_cache {
@@ -797,15 +906,11 @@ fn link_concept_entities(
         .iter()
         .map(|(t, _)| (t.clone(), t.join(" ")))
         .collect();
+    let index = EntityIndex::new(&input.entities);
     let mut find_entity = |query: &str| -> Option<usize> {
         match lookup.as_deref_mut() {
-            Some(c) => c.find(query, &entity_list),
-            None => {
-                let qt = giant_text::tokenize(query);
-                entity_list
-                    .iter()
-                    .position(|(toks, _)| crate::util::contains_seq(&qt, toks).is_some())
-            }
+            Some(c) => c.find(query, &index),
+            None => index.first_occurring(&giant_text::tokenize(query), 0),
         }
     };
 

@@ -13,6 +13,65 @@ use giant_text::dep::DepRel;
 use giant_text::{AnnotatedText, NerTag, PosTag};
 use std::collections::{HashMap, HashSet};
 
+/// One input text of a QTIG: annotated tokens and their dependency arcs.
+/// Implemented by [`AnnotatedText`] and by views of annotations held
+/// elsewhere, so a graph can be built without copying them.
+pub trait QtigInput {
+    /// Number of tokens.
+    fn n_tokens(&self) -> usize;
+    /// Token `i` (`i < n_tokens()`).
+    fn token(&self, i: usize) -> QtigToken<'_>;
+    /// The dependency arcs as `(head, dep, rel)` over token indices.
+    fn arcs(&self) -> impl Iterator<Item = (usize, usize, DepRel)> + '_;
+}
+
+/// One annotated token of a [`QtigInput`].
+#[derive(Debug, Clone, Copy)]
+pub struct QtigToken<'a> {
+    /// Lowercased surface form.
+    pub text: &'a str,
+    /// Part-of-speech tag.
+    pub pos: PosTag,
+    /// Named-entity tag.
+    pub ner: NerTag,
+    /// Stop-word flag.
+    pub is_stop: bool,
+}
+
+impl QtigInput for AnnotatedText {
+    fn n_tokens(&self) -> usize {
+        self.tokens.len()
+    }
+
+    fn token(&self, i: usize) -> QtigToken<'_> {
+        let t = &self.tokens[i];
+        QtigToken {
+            text: &t.text,
+            pos: t.pos,
+            ner: t.ner,
+            is_stop: t.is_stop,
+        }
+    }
+
+    fn arcs(&self) -> impl Iterator<Item = (usize, usize, DepRel)> + '_ {
+        self.arcs.iter().map(|a| (a.head, a.dep, a.rel))
+    }
+}
+
+impl<T: QtigInput + ?Sized> QtigInput for &T {
+    fn n_tokens(&self) -> usize {
+        (**self).n_tokens()
+    }
+
+    fn token(&self, i: usize) -> QtigToken<'_> {
+        (**self).token(i)
+    }
+
+    fn arcs(&self) -> impl Iterator<Item = (usize, usize, DepRel)> + '_ {
+        (**self).arcs()
+    }
+}
+
 /// R-GCN relation ids for QTIG edges. Each undirected edge contributes two
 /// directed relations (forward + inverse), mirroring R-GCN's canonical /
 /// inverse relation handling.
@@ -83,14 +142,14 @@ pub const EOS: usize = 1;
 impl Qtig {
     /// Builds the QTIG from annotated inputs (queries first, then titles,
     /// each list in descending random-walk weight).
-    pub fn build(inputs: &[AnnotatedText]) -> Self {
+    pub fn build<T: QtigInput>(inputs: &[T]) -> Self {
         Self::build_with_options(inputs, false)
     }
 
     /// Ablation A1 (DESIGN.md §4): `keep_parallel_edges = true` disables the
     /// first-edge-wins rule and keeps every seq/dependency edge between a
     /// pair — the configuration §3.1 reports as empirically worse.
-    pub fn build_with_options(inputs: &[AnnotatedText], keep_parallel_edges: bool) -> Self {
+    pub fn build_with_options<T: QtigInput>(inputs: &[T], keep_parallel_edges: bool) -> Self {
         let mut g = Qtig {
             nodes: Vec::new(),
             edges: Vec::new(),
@@ -106,10 +165,10 @@ impl Qtig {
 
         // Pass 1 (Algorithm 2, lines 2–7): nodes + seq edges.
         for text in inputs {
-            let mut seq = Vec::with_capacity(text.len() + 2);
+            let mut seq = Vec::with_capacity(text.n_tokens() + 2);
             seq.push(SOS);
-            for tok in &text.tokens {
-                let id = g.node_id_or_insert(tok);
+            for i in 0..text.n_tokens() {
+                let id = g.node_id_or_insert(text.token(i));
                 seq.push(id);
             }
             seq.push(EOS);
@@ -122,10 +181,10 @@ impl Qtig {
         // Pass 2 (lines 8–12): dependency edges between non-adjacent pairs.
         for (ti, text) in inputs.iter().enumerate() {
             let seq = &g.inputs[ti];
-            for arc in &text.arcs {
+            for (head, dep, rel) in text.arcs() {
                 // +1: inputs are offset by the leading sos.
-                let h = seq[arc.head + 1];
-                let d = seq[arc.dep + 1];
+                let h = seq[head + 1];
+                let d = seq[dep + 1];
                 if h == d {
                     continue; // merged tokens
                 }
@@ -134,8 +193,8 @@ impl Qtig {
                     continue; // first edge wins
                 }
                 connected.insert(key);
-                g.edges.push((h, d, QtigRelation::DepFwd(arc.rel)));
-                g.edges.push((d, h, QtigRelation::DepBwd(arc.rel)));
+                g.edges.push((h, d, QtigRelation::DepFwd(rel)));
+                g.edges.push((d, h, QtigRelation::DepBwd(rel)));
             }
         }
         g
@@ -155,11 +214,11 @@ impl Qtig {
         id
     }
 
-    fn node_id_or_insert(&mut self, tok: &giant_text::Token) -> usize {
-        if let Some(&id) = self.node_of.get(&tok.text) {
+    fn node_id_or_insert(&mut self, tok: QtigToken<'_>) -> usize {
+        if let Some(&id) = self.node_of.get(tok.text) {
             return id;
         }
-        self.push_node(&tok.text, tok.pos, tok.ner, tok.is_stop)
+        self.push_node(tok.text, tok.pos, tok.ner, tok.is_stop)
     }
 
     fn connect_seq(&mut self, a: usize, b: usize, connected: &mut HashSet<(usize, usize)>) {
@@ -347,7 +406,7 @@ mod tests {
 
     #[test]
     fn empty_input_produces_markers_only() {
-        let q = Qtig::build(&[]);
+        let q = Qtig::build::<AnnotatedText>(&[]);
         assert_eq!(q.n_nodes(), 2);
         assert!(q.edges.is_empty());
     }

@@ -412,20 +412,20 @@ impl SparseLayer {
         if min <= 0.0 {
             return;
         }
-        let mut kept = Vec::with_capacity(self.ids.len());
         let (mut min_id, mut max_id) = (usize::MAX, 0usize);
-        for &i in &self.ids {
+        let (vals, present) = (&mut self.vals, &mut self.present);
+        self.ids.retain(|&i| {
             let idx = i as usize;
-            if self.vals[idx] < min {
-                self.vals[idx] = 0.0;
-                self.present[idx] = false;
+            if vals[idx] < min {
+                vals[idx] = 0.0;
+                present[idx] = false;
+                false
             } else {
-                kept.push(i);
                 min_id = min_id.min(idx);
                 max_id = max_id.max(idx);
+                true
             }
-        }
-        self.ids = kept;
+        });
         self.min_id = min_id;
         self.max_id = max_id;
     }

@@ -2,6 +2,15 @@
 
 use rand::{Rng, RngExt};
 
+/// Column block width of [`Matrix::add_row_product`]: the partial sums of
+/// one block stay in registers across the whole `k` loop.
+const ROW_BLOCK: usize = 8;
+
+/// Longest row `a` whose nonzero entries [`Matrix::add_row_product`] lists
+/// on the stack (longer rows test each entry in the blocked loop), and the
+/// most multiply-adds of a product it sums one column at a time instead.
+const NONZERO_CAP: usize = 64;
+
 /// Dense row-major matrix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
@@ -121,18 +130,85 @@ impl Matrix {
     }
 
     /// `acc += a @ self` for one row vector `a` — the row kernel of
-    /// [`matmul`](Self::matmul): `k` ascending, zero entries of `a` skipped.
-    /// Slice-based callers that use it reproduce `matmul` bit for bit.
+    /// [`matmul`](Self::matmul), and of every slice-based caller that must
+    /// reproduce it bit for bit. Per column `j` it sums `a[k] * self[k][j]`
+    /// from `+0.0`, `k` ascending, zero entries of `a` skipped, and adds
+    /// the sum into `acc[j]` once — what `matmul` followed by `add_assign`
+    /// computes.
+    ///
+    /// The nonzero `k` are listed first (branch-free); then columns go in
+    /// blocks of eight, each block's sums held in registers while `k` runs
+    /// over the list. On an `acc` of `+0.0` this is also the textbook loop
+    /// `acc[j] += a[k] * self[k][j]` to the bit: both sum the same products
+    /// in the same order from `+0.0`, and an IEEE sum that starts at `+0.0`
+    /// is never `-0.0`, so the final add into `+0.0` changes nothing.
     #[inline]
     pub fn add_row_product(&self, a: &[f64], acc: &mut [f64]) {
         assert_eq!(a.len(), self.rows, "matmul shape mismatch");
-        for (k, &a) in a.iter().enumerate() {
-            if a == 0.0 {
-                continue;
+        assert_eq!(acc.len(), self.cols, "matmul shape mismatch");
+        if a.len() * acc.len() <= NONZERO_CAP {
+            return self.add_row_product_by_column(a, acc);
+        }
+        if a.len() > NONZERO_CAP {
+            return self.add_blocks(a, acc, (0..a.len()).filter(|&k| a[k] != 0.0));
+        }
+        let mut ks = [0u8; NONZERO_CAP];
+        let mut n = 0;
+        for (k, &v) in a.iter().enumerate() {
+            ks[n] = k as u8;
+            n += usize::from(v != 0.0);
+        }
+        self.add_blocks(a, acc, ks[..n].iter().map(|&k| usize::from(k)));
+    }
+
+    /// The blocked loop of [`add_row_product`](Self::add_row_product) over
+    /// the nonzero indices `ks`, ascending.
+    #[inline]
+    fn add_blocks(&self, a: &[f64], acc: &mut [f64], ks: impl Iterator<Item = usize> + Clone) {
+        let cols = self.cols;
+        let mut blocks = acc.chunks_exact_mut(ROW_BLOCK);
+        for (b, out) in (&mut blocks).enumerate() {
+            let j0 = b * ROW_BLOCK;
+            let mut sum = [0.0f64; ROW_BLOCK];
+            for k in ks.clone() {
+                let w = &self.data[k * cols + j0..k * cols + j0 + ROW_BLOCK];
+                for (s, &w) in sum.iter_mut().zip(w) {
+                    *s += a[k] * w;
+                }
             }
-            for (o, &b) in acc.iter_mut().zip(self.row(k)) {
-                *o += a * b;
+            for (o, s) in out.iter_mut().zip(sum) {
+                *o += s;
             }
+        }
+        let rest = blocks.into_remainder();
+        if !rest.is_empty() {
+            let j0 = cols - rest.len();
+            let mut sum = [0.0f64; ROW_BLOCK];
+            for k in ks {
+                let w = &self.data[k * cols + j0..(k + 1) * cols];
+                for (s, &w) in sum.iter_mut().zip(w) {
+                    *s += a[k] * w;
+                }
+            }
+            for (o, s) in rest.iter_mut().zip(sum) {
+                *o += s;
+            }
+        }
+    }
+
+    /// [`add_row_product`](Self::add_row_product) one column at a time, for
+    /// products too small to repay the nonzero list (such as the
+    /// serving-time Duet matcher's 6 × 8 and 8 × 1 layers): the same sums
+    /// from `+0.0`, each added into `acc` once.
+    fn add_row_product_by_column(&self, a: &[f64], acc: &mut [f64]) {
+        for (j, o) in acc.iter_mut().enumerate() {
+            let mut sum = 0.0;
+            for (k, &a) in a.iter().enumerate() {
+                if a != 0.0 {
+                    sum += a * self.data[k * self.cols + j];
+                }
+            }
+            *o += sum;
         }
     }
 

@@ -240,11 +240,15 @@ impl FrozenRgcn {
     /// Bit-equal to [`RgcnLayer::forward`] (followed by [`crate::act::relu`])
     /// on the same weights: per output row it performs that pass's
     /// floating-point operations in that pass's order — the self term
-    /// accumulated from `+0.0`, then per relation ascending the mean of the
-    /// sources in edge order, its product with `W_r` accumulated from `+0.0`,
-    /// and the add into the row. What it leaves out is the dense pass's
-    /// `+ 0.0` for every relation a row has no edge under; an accumulator
-    /// that starts at `+0.0` is never `-0.0`, so those adds change no bit.
+    /// summed from `+0.0`, then per relation ascending the mean of the
+    /// sources in edge order, its product with `W_r` summed from `+0.0`,
+    /// and the add into the row — through the one row kernel both passes
+    /// share, [`Matrix::add_row_product`]. What it leaves out is the dense
+    /// pass's `+ 0.0` for every relation a row has no edge under; an
+    /// accumulator that starts at `+0.0` is never `-0.0`, so those adds
+    /// change no bit. A pair with one source multiplies that source's row
+    /// itself: its mean `+0.0 + s / 1.0` differs from `s` only when `s` is
+    /// `-0.0`, where it is `+0.0`, and the kernel skips both zeros alike.
     /// `work` is workspace.
     pub fn forward(
         &self,
@@ -257,31 +261,33 @@ impl FrozenRgcn {
         let (d_in, d_out) = (self.w_self.rows(), self.w_self.cols());
         let n = groups.n_nodes;
         assert_eq!(x.len(), n * d_in, "feature rows must match the graph");
-        work.resize(d_in + d_out, 0.0);
-        let (m, tmp) = work.split_at_mut(d_in);
+        work.resize(d_in, 0.0);
+        let m = &mut work[..d_in];
         out.clear();
         out.resize(n * d_out, 0.0);
+        let row = |i: usize| &x[i * d_in..(i + 1) * d_in];
         let mut pairs = groups
             .keyed
             .chunk_by(|a, b| (a.0, a.1) == (b.0, b.1))
             .peekable();
         for (dst, out_row) in out.chunks_exact_mut(d_out).enumerate() {
-            self.w_self.add_row_product(&x[dst * d_in..(dst + 1) * d_in], out_row);
+            self.w_self.add_row_product(row(dst), out_row);
             while let Some(pair) = pairs.next_if(|pair| pair[0].0 == dst) {
                 let rel = pair[0].1;
                 assert!(rel < self.w_rel.len(), "relation {rel} out of range");
-                let c = pair.len() as f64;
-                m.fill(0.0);
-                for &(_, _, _, src) in pair {
-                    for (d, s) in m.iter_mut().zip(&x[src * d_in..(src + 1) * d_in]) {
-                        *d += s / c;
+                let mean = if let [(_, _, _, src)] = pair {
+                    row(*src)
+                } else {
+                    let c = pair.len() as f64;
+                    m.fill(0.0);
+                    for &(_, _, _, src) in pair {
+                        for (d, s) in m.iter_mut().zip(row(src)) {
+                            *d += s / c;
+                        }
                     }
-                }
-                tmp.fill(0.0);
-                self.w_rel[rel].add_row_product(m, tmp);
-                for (o, t) in out_row.iter_mut().zip(tmp.iter()) {
-                    *o += t;
-                }
+                    &*m
+                };
+                self.w_rel[rel].add_row_product(mean, out_row);
             }
             if relu {
                 for v in out_row.iter_mut() {

@@ -6,8 +6,11 @@
 //! training pass `GctspNet::forward`, which keeps the dense textbook
 //! formulation. Goldens only see an argmax of those logits; this suite
 //! compares the logits themselves by `f64::to_bits`, on adversarial random
-//! graphs and on every cluster of the seed-42 world, and checks that a
-//! weight update can never be answered from stale frozen weights.
+//! graphs (at the paper's widths and at widths that are not multiples of
+//! the row kernel's block) and on every cluster of the seed-42 world, and
+//! checks that a weight update can never be answered from stale frozen
+//! weights. Both passes share one row kernel, `Matrix::add_row_product`,
+//! so it is checked on its own against the textbook loop it replaced.
 
 use giant::adapter::{to_training_clusters, GiantSetup, ModelTrainConfig};
 use giant::data::WorldConfig;
@@ -15,6 +18,7 @@ use giant::graph::plan::plan_clusters;
 use giant::mining::gctsp::{GctspConfig, GctspNet, InferScratch};
 use giant::mining::train::build_cluster_qtig;
 use giant::mining::{GiantConfig, Qtig, QtigRelation};
+use giant::nn::Matrix;
 use giant::text::dep::DepRel;
 use giant::text::{Annotator, NerTag, PosTag};
 
@@ -148,6 +152,107 @@ fn kernel_matches_training_forward_on_random_graphs() {
         assert!(
             relations_seen.iter().all(|&s| s),
             "every relation exercised"
+        );
+    }
+}
+
+#[test]
+fn kernel_matches_training_forward_at_widths_off_the_block() {
+    // hidden 12 and 20 leave a 4-column remainder after the 8-column
+    // blocks; feat_dim 5 makes the first layer 19 wide; 3 classes make the
+    // head a remainder only.
+    for (hidden, seed) in [(12, 3), (20, 4)] {
+        let net = GctspNet::new(GctspConfig {
+            hidden,
+            feat_dim: 5,
+            n_classes: 3,
+            seed,
+            ..GctspConfig::default()
+        });
+        let mut oracle = net.clone();
+        let mut scratch = InferScratch::default();
+        let mut rng = Rng(hidden as u64);
+        for case in 0..120 {
+            let n = 2 + rng.below(40);
+            let n_linked = 1 + rng.below(n);
+            let n_edges = if case % 4 == 0 {
+                26 + rng.below(3 * n)
+            } else {
+                rng.below(3 * n)
+            };
+            let q = random_qtig(&mut rng, n, n_linked, n_edges);
+            let what = format!("hidden {hidden}, case {case} (n={n}, edges={n_edges})");
+            assert_parity(&net, &mut oracle, &mut scratch, &q, &what);
+        }
+    }
+}
+
+/// `acc += a @ w` as the kernel did before blocking: `k` ascending, zero
+/// entries of `a` skipped, every product added straight into `acc`.
+fn textbook_row_product(w: &Matrix, a: &[f64], acc: &mut [f64]) {
+    for (k, &a) in a.iter().enumerate() {
+        if a == 0.0 {
+            continue;
+        }
+        for (o, &b) in acc.iter_mut().zip(w.row(k)) {
+            *o += a * b;
+        }
+    }
+}
+
+#[test]
+fn row_kernel_matches_the_textbook_loop_to_the_bit() {
+    // Signed zeros, subnormals, exact cancellations (x and -x) and the
+    // smallest normal, beside ordinary values: the entries that decide
+    // whether a sum ends at +0.0 or -0.0 and whether a product underflows.
+    let sub = f64::from_bits(1);
+    let pool = [
+        0.0,
+        -0.0,
+        sub,
+        -sub,
+        f64::MIN_POSITIVE,
+        -f64::MIN_POSITIVE,
+        f64::MIN_POSITIVE / 3.0,
+        1.0,
+        -1.0,
+        0.5,
+        -0.5,
+        3.0,
+        1e-300,
+        -1e-300,
+    ];
+    let mut rng = Rng(42);
+    let draw = |rng: &mut Rng| match rng.below(pool.len() + 4) {
+        i if i < pool.len() => pool[i],
+        _ => (rng.next() % 2001) as f64 / 1000.0 - 1.0,
+    };
+    for case in 0..2000 {
+        // Rows past 64 take the kernel's long path; columns cover whole
+        // blocks, remainders and both.
+        let rows = match case % 10 {
+            0 => 65 + rng.below(20),
+            _ => rng.below(40),
+        };
+        let cols = rng.below(27);
+        let w = Matrix::from_vec(
+            rows,
+            cols,
+            (0..rows * cols).map(|_| draw(&mut rng)).collect(),
+        );
+        let a: Vec<f64> = (0..rows).map(|_| draw(&mut rng)).collect();
+        let mut want = vec![0.0; cols];
+        textbook_row_product(&w, &a, &mut want);
+        let mut got = vec![0.0; cols];
+        w.add_row_product(&a, &mut got);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(bits(&got), bits(&want), "case {case}: {rows}x{cols}");
+        // matmul runs the same kernel, row by row.
+        let x = Matrix::from_vec(1, rows, a);
+        assert_eq!(
+            bits(x.matmul(&w).data()),
+            bits(&want),
+            "case {case}: matmul"
         );
     }
 }
