@@ -21,6 +21,10 @@ use giant_text::{AnnotatedText, NerTag, PosTag};
 /// The slot of a text that is not annotated.
 const NOT_ANNOTATED: u32 = u32::MAX;
 
+/// Fewest texts a worker of [`AnnotationTable::extend`] annotates: about
+/// a quarter millisecond of annotation, several times a thread's start.
+const MIN_SHARE: usize = 64;
+
 /// A text the table holds: a query or a document title.
 #[derive(Debug, Clone, Copy)]
 enum TextKey {
@@ -105,8 +109,10 @@ impl AnnotationTable {
             }
         }
         // Each worker annotates one contiguous share of the missing texts,
-        // holding one `AnnotatedText` at a time.
-        let share = missing.len().div_ceil(threads.max(1)).max(1);
+        // holding one `AnnotatedText` at a time; a share is never so small
+        // that starting its thread costs more than annotating it.
+        let threads = threads.min(missing.len() / MIN_SHARE).max(1);
+        let share = missing.len().div_ceil(threads).max(1);
         let shares: Vec<&[TextKey]> = missing.chunks(share).collect();
         let parts = giant_exec::run_ordered(&shares, threads, |_, keys| {
             let mut part = Part {

@@ -106,20 +106,7 @@ pub(crate) enum MineOutcome {
 impl MineOutcome {
     /// Applies the entity filter: the pipeline never mines a phrase that
     /// merely re-discovers a dictionary entity.
-    pub(crate) fn resolve(&self, entity_surfaces: &HashSet<String>) -> Option<ClusterCandidate> {
-        match self {
-            MineOutcome::Decoded { surface, cand } if !entity_surfaces.contains(surface) => {
-                Some(cand.clone())
-            }
-            _ => None,
-        }
-    }
-
-    /// [`resolve`](Self::resolve) of an outcome that is not kept.
-    pub(crate) fn into_candidate(
-        self,
-        entity_surfaces: &HashSet<String>,
-    ) -> Option<ClusterCandidate> {
+    pub(crate) fn resolve(self, entity_surfaces: &HashSet<String>) -> Option<ClusterCandidate> {
         match self {
             MineOutcome::Decoded { surface, cand } if !entity_surfaces.contains(&surface) => {
                 Some(cand)

@@ -451,6 +451,15 @@ fn merge_context(
 /// Titles kept per candidate (the context-enriched representation).
 const TOP_TITLES: usize = 5;
 
+/// What the execute phase does with one planned item.
+enum Step<'c> {
+    /// Reuse the mine cache's outcome, which is still fresh.
+    Reuse(&'c MineOutcome),
+    /// Mine the cluster, and with a mine cache file the outcome under
+    /// this fingerprint.
+    Mine(Option<MineFingerprint>),
+}
+
 /// Phase 1: Algorithm 1 as plan → execute → merge.
 ///
 /// * **Plan**: [`plan_clusters_parallel`] partitions the query space into
@@ -517,13 +526,11 @@ fn mine_attentions(
     };
     timings.record("mine.plan", span.finish_secs());
 
-    // Execute. Per item, the memoized outcome when the mine cache holds a
-    // fresh one; the fingerprints of the others, to file their fresh
-    // outcomes under (none without a cache).
+    // Execute. Per item, whether to mine it or to reuse the mine cache's
+    // outcome: a lookup and two short vectors an item, on this thread.
     let span = giant_obs::span("mine.execute");
-    let mut fingerprints = Vec::new();
-    let memo: Vec<Option<&MineOutcome>> = match mine_cache.as_deref() {
-        None => vec![None; plan.items.len()],
+    let steps: Vec<Step<'_>> = match mine_cache.as_deref() {
+        None => plan.items.iter().map(|_| Step::Mine(None)).collect(),
         Some(mine) => plan
             .items
             .iter()
@@ -537,7 +544,7 @@ fn mine_attentions(
                     // entry is fresh without re-fingerprinting (see
                     // `ClusterPlan::reused`).
                     if let Some(e) = entry {
-                        return Some(&e.outcome);
+                        return Step::Reuse(&e.outcome);
                     }
                 }
                 let fp = MineFingerprint::of(item, &input.click_graph);
@@ -545,79 +552,76 @@ fn mine_attentions(
                     // Hit: the memoized outcome is what mining would
                     // decode; only the entity filter may have changed
                     // since, so it is re-applied at the merge.
-                    Some(e) if e.fp == fp => Some(&e.outcome),
-                    _ => {
-                        fingerprints.push(fp);
-                        None
-                    }
+                    Some(e) if e.fp == fp => Step::Reuse(&e.outcome),
+                    _ => Step::Mine(Some(fp)),
                 }
             })
             .collect(),
     };
-    // One annotation per distinct text of the clusters that are mined.
-    let mut table = AnnotationTable::default();
     let to_mine: Vec<&ClusterWorkItem> = plan
         .items
         .iter()
-        .zip(&memo)
-        .filter(|(item, m)| m.is_none() && titled_docs(input, item).next().is_some())
+        .zip(&steps)
+        .filter(|(_, step)| matches!(step, Step::Mine(_)))
         .map(|(item, _)| item)
+        .collect();
+    // One annotation per distinct text the clusters to mine read (a
+    // cluster without a titled doc reads none).
+    let mut table = AnnotationTable::default();
+    let read: Vec<&ClusterWorkItem> = to_mine
+        .iter()
+        .copied()
+        .filter(|item| titled_docs(input, item).next().is_some())
         .collect();
     table.extend(
         input,
         cfg.threads,
-        to_mine.iter().flat_map(|it| it.cluster.queries.iter().map(|(q, _)| q.0)),
-        to_mine.iter().flat_map(|it| titled_docs(input, it)),
+        read.iter()
+            .flat_map(|it| it.cluster.queries.iter().map(|(q, _)| q.0)),
+        read.iter().flat_map(|it| titled_docs(input, it)),
     );
-    // Per item, the outcome of a cluster that is mined (`None` when the
-    // memoized one is reused).
-    let fresh: Vec<Option<MineOutcome>> = giant_exec::run_ordered_scratch(
-        &plan.items,
+    let fresh: Vec<MineOutcome> = giant_exec::run_ordered_scratch(
+        &to_mine,
         cfg.threads,
         InferScratch::default,
-        |scratch, i, item| {
-            memo[i]
-                .is_none()
-                .then(|| mine_cluster_raw(input, models, &table, scratch, item))
-        },
+        |scratch, _, item| mine_cluster_raw(input, models, &table, scratch, item),
     );
     let mut stats = CacheStats::default();
     match plan_cache {
         Some(pc) => (stats.plan_reused, stats.plan_walked) = (pc.reused, pc.walked),
         None => stats.plan_walked = plan.items.len(),
     }
-    stats.clusters_mined = fresh.iter().filter(|o| o.is_some()).count();
-    stats.clusters_reused = fresh.len() - stats.clusters_mined;
+    stats.clusters_mined = fresh.len();
+    stats.clusters_reused = plan.items.len() - fresh.len();
     out.cache_stats = stats;
     timings.record("mine.execute", span.finish_secs());
 
-    // Merge, in plan order. The entity filter applies here, to reused
-    // outcomes too: the dictionary may have grown since they were
-    // memoized. Fresh candidates get their merge context here; fresh
-    // outcomes are filed in the mine cache, context included, afterwards.
+    // Merge, in plan order. Fresh outcomes get their merge context here
+    // and, with a mine cache, are filed there, context included, after the
+    // loop. The entity filter applies here, to reused outcomes too: the
+    // dictionary may have grown since they were memoized.
     let merge_span = giant_obs::span("mine.merge");
-    let mut fingerprints = fingerprints.into_iter();
+    let mut fresh = fresh.into_iter();
     let mut filed = Vec::new();
-    for ((item, memo), fresh) in plan.items.iter().zip(memo).zip(fresh) {
-        let cand = match (memo, fresh) {
-            (Some(reused), _) => reused.resolve(&entity_surfaces),
-            (None, Some(mut outcome)) => match fingerprints.next() {
-                Some(fp) => {
-                    if let MineOutcome::Decoded { cand, .. } = &mut outcome {
-                        cand.context = merge_context(input, &table, item, &cand.tokens);
-                    }
-                    let cand = outcome.resolve(&entity_surfaces);
-                    filed.push((item.seed.0, MineEntry { fp, outcome }));
-                    cand
-                }
-                None => outcome.into_candidate(&entity_surfaces).map(|mut cand| {
+    for (item, step) in plan.items.iter().zip(steps) {
+        let outcome = match step {
+            Step::Reuse(outcome) => outcome.clone(),
+            Step::Mine(fp) => {
+                let mut outcome = fresh.next().expect("every item to mine is mined");
+                if let MineOutcome::Decoded { cand, .. } = &mut outcome {
                     cand.context = merge_context(input, &table, item, &cand.tokens);
-                    cand
-                }),
-            },
-            (None, None) => unreachable!("every item without a memo is mined"),
+                }
+                if let Some(fp) = fp {
+                    let entry = MineEntry {
+                        fp,
+                        outcome: outcome.clone(),
+                    };
+                    filed.push((item.seed.0, entry));
+                }
+                outcome
+            }
         };
-        let Some(cand) = cand else {
+        let Some(cand) = outcome.resolve(&entity_surfaces) else {
             continue;
         };
         let (norm, meta) = if cand.is_event {

@@ -58,20 +58,6 @@ impl QtigInput for AnnotatedText {
     }
 }
 
-impl<T: QtigInput + ?Sized> QtigInput for &T {
-    fn n_tokens(&self) -> usize {
-        (**self).n_tokens()
-    }
-
-    fn token(&self, i: usize) -> QtigToken<'_> {
-        (**self).token(i)
-    }
-
-    fn arcs(&self) -> impl Iterator<Item = (usize, usize, DepRel)> + '_ {
-        (**self).arcs()
-    }
-}
-
 /// R-GCN relation ids for QTIG edges. Each undirected edge contributes two
 /// directed relations (forward + inverse), mirroring R-GCN's canonical /
 /// inverse relation handling.

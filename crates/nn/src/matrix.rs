@@ -7,8 +7,7 @@ use rand::{Rng, RngExt};
 const ROW_BLOCK: usize = 8;
 
 /// Longest row `a` whose nonzero entries [`Matrix::add_row_product`] lists
-/// on the stack (longer rows test each entry in the blocked loop), and the
-/// most multiply-adds of a product it sums one column at a time instead.
+/// on the stack; longer rows test each entry in the blocked loop.
 const NONZERO_CAP: usize = 64;
 
 /// Dense row-major matrix.
@@ -146,9 +145,6 @@ impl Matrix {
     pub fn add_row_product(&self, a: &[f64], acc: &mut [f64]) {
         assert_eq!(a.len(), self.rows, "matmul shape mismatch");
         assert_eq!(acc.len(), self.cols, "matmul shape mismatch");
-        if a.len() * acc.len() <= NONZERO_CAP {
-            return self.add_row_product_by_column(a, acc);
-        }
         if a.len() > NONZERO_CAP {
             return self.add_blocks(a, acc, (0..a.len()).filter(|&k| a[k] != 0.0));
         }
@@ -193,22 +189,6 @@ impl Matrix {
             for (o, s) in rest.iter_mut().zip(sum) {
                 *o += s;
             }
-        }
-    }
-
-    /// [`add_row_product`](Self::add_row_product) one column at a time, for
-    /// products too small to repay the nonzero list (such as the
-    /// serving-time Duet matcher's 6 × 8 and 8 × 1 layers): the same sums
-    /// from `+0.0`, each added into `acc` once.
-    fn add_row_product_by_column(&self, a: &[f64], acc: &mut [f64]) {
-        for (j, o) in acc.iter_mut().enumerate() {
-            let mut sum = 0.0;
-            for (k, &a) in a.iter().enumerate() {
-                if a != 0.0 {
-                    sum += a * self.data[k * self.cols + j];
-                }
-            }
-            *o += sum;
         }
     }
 
