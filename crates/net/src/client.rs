@@ -7,7 +7,7 @@
 //! is asked for.
 
 use std::collections::HashMap;
-use std::io::Write as _;
+use std::io::{BufReader, Write as _};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use giant_apps::serving::ServeRequest;
@@ -17,6 +17,9 @@ use crate::wire::{decode_reply, encode_request_frame, read_frame, NetError, Repl
 /// One connection to a `giant-net` server.
 pub struct NetClient {
     stream: TcpStream,
+    /// A clone of `stream` read through a buffer: one `read` brings in a
+    /// whole reply and every reply queued behind it.
+    reader: BufReader<TcpStream>,
     next_id: u64,
     pending: HashMap<u64, Reply>,
 }
@@ -31,6 +34,7 @@ impl NetClient {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         Ok(NetClient {
+            reader: BufReader::new(stream.try_clone()?),
             stream,
             next_id: 1,
             pending: HashMap::new(),
@@ -53,7 +57,7 @@ impl NetClient {
             return Ok(reply);
         }
         loop {
-            let (got_id, payload) = read_frame(&mut self.stream)?;
+            let (got_id, payload) = read_frame(&mut self.reader)?;
             let reply = decode_reply(&payload)?;
             // A Reply::Bad precedes a server-side close; surface it for
             // whichever id is being waited on.

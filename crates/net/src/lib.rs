@@ -11,14 +11,17 @@
 //!   frame discipline) as the checkpoint and WAL formats. Every message
 //!   decodes to a typed value or a typed [`NetError`] —
 //!   never a panic, never an unbounded allocation.
-//! * [`server`] — accept/read threads feed a **bounded admission queue**;
-//!   worker threads drain it, **coalescing concurrent requests into
-//!   `giant_exec::run_ordered` batches** through
-//!   `OntologyService::serve_batch`, so a served answer is byte-identical
-//!   to the in-process answer at any thread count and any batch
-//!   composition. When the queue is full the server *sheds*: the client
-//!   gets a typed [`Reply::Shed`](wire::Reply) immediately instead of the
-//!   server queuing without bound.
+//! * [`server`] — one reader thread per connection reads frames through
+//!   a buffer and answers the microsecond-cheap kinds (Conceptualize,
+//!   Recommend) itself, never queued and never shed. The heavier kinds
+//!   go to a **bounded admission queue**; worker threads drain it,
+//!   **coalescing concurrent requests into `giant_exec::run_ordered`
+//!   batches** through `OntologyService::serve_batch`. Both paths call
+//!   the same `frame.serve`, so a served answer is byte-identical to the
+//!   in-process answer at any thread count and any batch composition.
+//!   When the queue is full the server *sheds*: the client gets a typed
+//!   [`Reply::Shed`](wire::Reply) immediately instead of the server
+//!   queuing without bound.
 //! * [`stats`] — per-request-kind latency accounting (p50/p99 over
 //!   `giant-obs` log-scale histograms) served over the wire as a stats
 //!   endpoint, so operators can watch SLOs without touching the serving

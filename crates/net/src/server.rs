@@ -5,21 +5,33 @@
 //!
 //! ```text
 //! accept thread ──► one reader thread per connection
-//!                        │  decode frame → Job ──► bounded queue ──► workers
-//!                        │  (queue full → Reply::Shed, not queued)     │
-//!                        └─ Request::Stats answered inline             │
-//!                                         drain ≤ batch_max jobs ◄─────┘
-//!                                         OntologyService::serve_batch
-//!                                         reply frames → per-conn mutex
+//!                        │  buffered read → frame → decode
+//!                        ├─ Conceptualize / Recommend: served inline
+//!                        │  against the current frame, reply written
+//!                        ├─ Stats / Metrics: answered inline
+//!                        │
+//!                        │  TagDocument / StoryTree / ExportSubgraph:
+//!                        │  Job ──► bounded queue ──► workers
+//!                        │  (queue full → Reply::Shed, not queued)  │
+//!                        │                                          │
+//!                        │             drain ≤ batch_max jobs ◄─────┘
+//!                        │             OntologyService::serve_batch
+//!                        └──────────►  reply frames → per-conn mutex
 //! ```
+//!
+//! The light kinds cost about a microsecond to answer, less than the
+//! wake-up a queue hand-off costs, so the reader answers them itself: one
+//! thread hop per request instead of two. The reader pulls the socket
+//! through a per-connection buffer, so one `read` brings in a whole
+//! frame and every frame pipelined behind it.
 //!
 //! Workers drain whatever has accumulated (up to `batch_max`) into a
 //! single [`OntologyService::serve_batch`] call, which acquires **one**
 //! serving frame for the whole batch and fans out through
 //! `giant_exec::run_ordered`. Because each answer depends only on
-//! (request, frame), coalescing is invisible in the response bytes: any
-//! worker count, batch composition, or executor thread count produces
-//! byte-identical replies.
+//! (request, frame), neither coalescing nor the inline path shows in the
+//! response bytes: any worker count, batch composition, or executor
+//! thread count produces byte-identical replies.
 //!
 //! ## Overload semantics
 //!
@@ -28,16 +40,21 @@
 //! overload is O(queue_cap + open connections), and a client always gets
 //! a prompt, typed answer:
 //!
-//! | condition                    | client sees                          |
-//! |------------------------------|--------------------------------------|
-//! | queue has room               | reply, after queue + compute         |
-//! | queue full                   | [`Reply::Shed`] immediately          |
-//! | malformed / oversized frame  | [`Reply::Bad`], then connection close|
-//! | `Request::Stats`, any load   | [`Reply::Stats`] inline (never shed) |
+//! | condition                           | client sees                             |
+//! |-------------------------------------|-----------------------------------------|
+//! | queued kind, queue has room         | reply, after queue + compute            |
+//! | queued kind, queue full             | [`Reply::Shed`] immediately             |
+//! | malformed / oversized frame         | [`Reply::Bad`], then connection close   |
+//! | `Request::Stats`, any load          | [`Reply::Stats`] inline (never shed)    |
+//! | Conceptualize / Recommend, any load | reply inline (never queued, never shed) |
+//!
+//! Inline answers are bounded per connection the way stats are: a reader
+//! answers one frame before it reads the next, so a client that sends
+//! faster than it is answered is slowed by TCP flow control.
 
 use giant_apps::serving::{OntologyService, ServeError, ServeRequest};
 use std::collections::{HashMap, VecDeque};
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -102,9 +119,9 @@ struct Ticket {
     enqueued: Instant,
 }
 
-/// A connection's write half. Replies from the worker pool and inline
-/// stats answers interleave, so every frame write holds this mutex —
-/// frames are atomic on the wire.
+/// A connection's write half. Replies from the worker pool and the
+/// reader's inline answers interleave, so every frame write holds this
+/// mutex — frames are atomic on the wire.
 struct Conn {
     stream: Mutex<TcpStream>,
 }
@@ -312,9 +329,20 @@ fn prepare_accepted(stream: &TcpStream) -> io::Result<(TcpStream, TcpStream)> {
     Ok((stream.try_clone()?, stream.try_clone()?))
 }
 
-fn reader_loop(mut read_half: TcpStream, conn: Arc<Conn>, shared: &Arc<Shared>) {
+/// Whether a request is answered on its connection's reader thread
+/// rather than queued for a worker: the kinds whose answer costs less
+/// than the hand-off would.
+fn answered_inline(req: &ServeRequest) -> bool {
+    matches!(
+        req,
+        ServeRequest::Conceptualize { .. } | ServeRequest::Recommend { .. }
+    )
+}
+
+fn reader_loop(read_half: TcpStream, conn: Arc<Conn>, shared: &Arc<Shared>) {
+    let mut reader = BufReader::new(read_half);
     while !shared.stop.load(Ordering::SeqCst) {
-        let (id, payload) = match read_frame(&mut read_half) {
+        let (id, payload) = match read_frame(&mut reader) {
             Ok(frame) => frame,
             // Peer hung up (or shutdown unblocked us): close quietly.
             Err(NetError::Io(_)) => return,
@@ -325,10 +353,11 @@ fn reader_loop(mut read_half: TcpStream, conn: Arc<Conn>, shared: &Arc<Shared>) 
                 conn.send(0, &Reply::Bad {
                     reason: e.to_string(),
                 });
-                let _ = read_half.shutdown(Shutdown::Both);
+                let _ = reader.get_ref().shutdown(Shutdown::Both);
                 return;
             }
         };
+        let received = Instant::now();
         match decode_request(&payload) {
             Ok(Request::Stats) => {
                 // Answered inline on the read thread: stats must respond
@@ -346,6 +375,18 @@ fn reader_loop(mut read_half: TcpStream, conn: Arc<Conn>, shared: &Arc<Shared>) 
                     .metrics_snapshot(shared.svc.frame().version)
                     .merge(giant_obs::registry().snapshot());
                 conn.send(id, &Reply::Metrics(snap));
+            }
+            Ok(Request::Serve(req)) if answered_inline(&req) => {
+                // The same `frame.serve` that `serve_batch` maps, against
+                // the frame live now, so the bytes match the queued path.
+                let reply = match shared.svc.frame().serve(&req) {
+                    Ok(resp) => Reply::Ok(resp),
+                    Err(e) => Reply::Err(e),
+                };
+                // Recorded before the write, as the workers do.
+                let us = received.elapsed().as_secs_f64() * 1e6;
+                shared.stats.record_served(kind_index(&req), us);
+                conn.send(id, &reply);
             }
             Ok(Request::Serve(req)) => {
                 // The export gate sits in front of admission: a disabled
@@ -448,6 +489,173 @@ fn worker_loop(shared: &Arc<Shared>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{decode_reply, encode_reply_payload, encode_request_frame};
+    use giant_apps::{
+        DuetConfig, DuetMatcher, ServeResources, StoryTreeConfig, TagResources, TaggingConfig,
+    };
+    use giant_ontology::{NodeKind, Ontology, OntologySnapshot, Phrase};
+    use giant_text::{PhraseEncoder, TfIdf, Vocab, WordEmbeddings};
+    use std::io::Write as _;
+    use std::time::Duration;
+
+    /// A hand-built ontology behind a service whose tagging models are
+    /// inert: enough to answer the inline kinds.
+    fn service() -> Arc<OntologyService> {
+        let mut o = Ontology::new();
+        let cars = o.add_node(NodeKind::Concept, Phrase::from_text("electric cars"), 5.0);
+        let v = o.add_node(NodeKind::Entity, Phrase::from_text("veltro x9"), 3.0);
+        let k = o.add_node(NodeKind::Entity, Phrase::from_text("kario s4"), 9.0);
+        o.add_is_a(cars, v, 1.0).expect("is_a");
+        o.add_is_a(cars, k, 1.0).expect("is_a");
+        o.add_correlate(v, k, 0.9).expect("correlate");
+        let resources = ServeResources {
+            tagging: TagResources {
+                concept_contexts: HashMap::new(),
+                event_phrases: Vec::new(),
+                tfidf: Arc::new(TfIdf::new()),
+                duet: Arc::new(DuetMatcher::train(&[], DuetConfig::default())),
+                encoder: Arc::new(PhraseEncoder::new(WordEmbeddings::from_parts(8, 0, Vec::new()))),
+                vocab: Arc::new(Vocab::new()),
+                config: TaggingConfig::default(),
+            },
+            stories: Vec::new(),
+            story_config: StoryTreeConfig::default(),
+            match_aliases: false,
+            max_results: 5,
+        };
+        Arc::new(OntologyService::new(OntologySnapshot::freeze(&o), resources))
+    }
+
+    /// Light requests of several lengths, each kind more than once.
+    fn light_requests(n: usize) -> Vec<ServeRequest> {
+        const QUERIES: [&str; 4] = ["best electric cars", "veltro x9 review", "kario s4", "x"];
+        (0..n)
+            .map(|i| {
+                let query = format!("{} {i}", QUERIES[i % QUERIES.len()]);
+                if i % 3 == 0 {
+                    ServeRequest::Recommend { query }
+                } else {
+                    ServeRequest::Conceptualize { query }
+                }
+            })
+            .collect()
+    }
+
+    /// The in-process answer, as reply payload bytes.
+    fn in_process(svc: &OntologyService, req: &ServeRequest) -> Vec<u8> {
+        let reply = match svc.frame().serve(req) {
+            Ok(resp) => Reply::Ok(resp),
+            Err(e) => Reply::Err(e),
+        };
+        encode_reply_payload(&reply).expect("encode")
+    }
+
+    fn frame(id: u64, req: &ServeRequest) -> Vec<u8> {
+        encode_request_frame(id, &Request::Serve(req.clone())).expect("encode request")
+    }
+
+    fn connect(server: &Server) -> TcpStream {
+        let stream = TcpStream::connect(server.local_addr()).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        stream
+    }
+
+    /// Reads replies until a stats reply: every reply before it, in order.
+    fn replies_until_stats(stream: &mut TcpStream, stats_id: u64) -> Vec<(u64, Vec<u8>)> {
+        stream
+            .write_all(&encode_request_frame(stats_id, &Request::Stats).expect("encode"))
+            .expect("write stats");
+        let mut replies = Vec::new();
+        loop {
+            let (id, payload) = read_frame(stream).expect("read reply");
+            if id == stats_id {
+                return replies;
+            }
+            replies.push((id, payload));
+        }
+    }
+
+    #[test]
+    fn frames_pipelined_in_one_write_are_each_answered_once() {
+        let svc = service();
+        let server = Server::start(Arc::clone(&svc), "127.0.0.1:0", ServerConfig::default())
+            .expect("start");
+        // Enough frames that the reader's buffer refills mid-frame.
+        let requests = light_requests(300);
+        let blob: Vec<u8> = (1u64..)
+            .zip(&requests)
+            .flat_map(|(id, req)| frame(id, req))
+            .collect();
+        assert!(blob.len() > 8 * 1024, "the stream must outgrow one buffer fill");
+        let mut stream = connect(&server);
+        stream.write_all(&blob).expect("write");
+        let replies = replies_until_stats(&mut stream, u64::MAX);
+        let expected: Vec<(u64, Vec<u8>)> = (1u64..)
+            .zip(&requests)
+            .map(|(id, req)| (id, in_process(&svc, req)))
+            .collect();
+        assert_eq!(replies, expected);
+        assert_eq!(server.stats_report().served, requests.len() as u64);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_frame_torn_at_every_offset_is_answered_once() {
+        let svc = service();
+        let server = Server::start(Arc::clone(&svc), "127.0.0.1:0", ServerConfig::default())
+            .expect("start");
+        let req = ServeRequest::Conceptualize {
+            query: "best electric cars".into(),
+        };
+        let expected = in_process(&svc, &req);
+        let mut stream = connect(&server);
+        let len = frame(0, &req).len();
+        for (id, cut) in (1u64..).zip(1..len) {
+            let bytes = frame(id, &req);
+            stream.write_all(&bytes[..cut]).expect("write head");
+            // Let the head arrive on its own before the tail follows.
+            std::thread::sleep(Duration::from_millis(1));
+            stream.write_all(&bytes[cut..]).expect("write tail");
+            let replies = replies_until_stats(&mut stream, u64::MAX - id);
+            assert_eq!(replies, vec![(id, expected.clone())], "torn at byte {cut}");
+        }
+        assert_eq!(server.stats_report().served, (len - 1) as u64);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_good_frame_is_answered_before_a_corrupt_one_behind_it_closes_the_connection() {
+        let svc = service();
+        let server = Server::start(Arc::clone(&svc), "127.0.0.1:0", ServerConfig::default())
+            .expect("start");
+        let req = ServeRequest::Recommend {
+            query: "veltro x9 review".into(),
+        };
+        let mut corrupt = frame(2, &req);
+        let last = corrupt.len() - 1;
+        corrupt[last] ^= 0xFF;
+        let mut segment = frame(1, &req);
+        segment.extend_from_slice(&corrupt);
+        let mut stream = connect(&server);
+        stream.write_all(&segment).expect("write");
+
+        let (id, payload) = read_frame(&mut stream).expect("good reply");
+        assert_eq!((id, payload), (1, in_process(&svc, &req)));
+        let (id, payload) = read_frame(&mut stream).expect("rejection");
+        assert_eq!(id, 0);
+        match decode_reply(&payload).expect("decode rejection") {
+            Reply::Bad { reason } => assert!(reason.contains("checksum"), "{reason}"),
+            other => panic!("expected Reply::Bad, got {other:?}"),
+        }
+        assert!(
+            read_frame(&mut stream).is_err(),
+            "the connection must close after a rejection"
+        );
+        server.shutdown();
+    }
 
     #[test]
     fn accepted_sockets_have_nagle_off() {

@@ -4,7 +4,9 @@
 //! The server records one latency sample per served request — measured
 //! from admission (the read thread enqueuing the job) to the reply frame
 //! being handed to the socket, so queueing delay under load is visible,
-//! not just compute. Samples land in lock-free log-scale histograms
+//! not just compute. The kinds the read thread answers inline
+//! (Conceptualize, Recommend) never queue; theirs is measured from the
+//! decoded frame to the reply. Samples land in lock-free log-scale histograms
 //! ([`giant_obs::Histogram`] — four buckets per octave of microseconds,
 //! the design this module originated and `giant-obs` generalised), from
 //! which the stats endpoint derives p50/p99 per kind.

@@ -10,6 +10,9 @@
 //! * under overload the server sheds with a typed reply — every request
 //!   gets exactly one answer, the admission queue never exceeds its
 //!   bound, and the stats endpoint keeps answering;
+//! * the light kinds (Conceptualize, Recommend) are answered on the
+//!   reader thread: under the same overload they are never shed and
+//!   still match in-process, while sheds fall only on the queued kinds;
 //! * a malformed frame gets a typed protocol rejection and a connection
 //!   close — the server survives and keeps serving other clients;
 //! * a connection that has closed costs the server nothing: its
@@ -206,6 +209,83 @@ fn overload_sheds_typed_replies_and_keeps_the_queue_bounded() {
         report.queue_max_depth,
         report.queue_cap
     );
+    server.shutdown();
+}
+
+/// The kinds the reader thread answers itself rather than queueing.
+fn is_light(req: &ServeRequest) -> bool {
+    matches!(
+        req,
+        ServeRequest::Conceptualize { .. } | ServeRequest::Recommend { .. }
+    )
+}
+
+#[test]
+fn light_kinds_bypass_the_admission_queue_under_overload() {
+    let (svc, requests) = world();
+    let expected = expected_reply_bytes(svc, requests);
+    let queue_cap = 8usize;
+    let server = Server::start(
+        Arc::clone(svc),
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 1,
+            exec_threads: 1,
+            batch_max: 4,
+            queue_cap,
+            debug_batch_delay_us: 5000,
+            allow_export: false,
+        },
+    )
+    .expect("start server");
+
+    // Light and heavy kinds alternate, each cycling through its share of
+    // the stream.
+    let (light_idx, heavy_idx): (Vec<usize>, Vec<usize>) =
+        (0..requests.len()).partition(|&r| is_light(&requests[r]));
+    let order: Vec<usize> = (0..200)
+        .map(|i| {
+            let side = if i % 2 == 0 { &light_idx } else { &heavy_idx };
+            side[(i / 2) % side.len()]
+        })
+        .collect();
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+    let ids: Vec<u64> = order
+        .iter()
+        .map(|&r| client.send(&Request::Serve(requests[r].clone())).expect("send"))
+        .collect();
+
+    let (mut light, mut heavy_served, mut shed) = (0u64, 0u64, 0u64);
+    for (&r, id) in order.iter().zip(ids) {
+        let reply = client.recv(id).expect("recv");
+        if let Reply::Shed { .. } = reply {
+            assert!(
+                !is_light(&requests[r]),
+                "a light request was shed: {:?}",
+                requests[r]
+            );
+            shed += 1;
+            continue;
+        }
+        if is_light(&requests[r]) {
+            assert!(matches!(reply, Reply::Ok(_)), "light reply not Ok: {reply:?}");
+            light += 1;
+        } else {
+            heavy_served += 1;
+        }
+        assert_eq!(
+            encode_reply_payload(&reply).expect("encode served reply"),
+            expected[r],
+            "request {r} diverged from in-process"
+        );
+    }
+    assert!(shed > 0, "the blast must overflow an {queue_cap}-deep queue");
+    assert!(light > 0 && heavy_served > 0, "both paths must serve");
+
+    let report = client.stats().expect("stats after load");
+    assert_eq!(report.served, light + heavy_served, "served counts both paths");
+    assert_eq!(report.shed, shed);
+    assert!(report.queue_max_depth <= report.queue_cap);
     server.shutdown();
 }
 
