@@ -76,12 +76,12 @@ pub(crate) fn write_resources(w: &mut Writer, res: &ServeResources) {
     // Concept contexts, sorted by node id for deterministic bytes.
     let mut ctx: Vec<(&NodeId, &Vec<String>)> = tag.concept_contexts.iter().collect();
     ctx.sort_by_key(|(id, _)| id.0);
-    w.u32(ctx.len() as u32);
+    w.len_prefix(ctx.len(), "concept contexts");
     for (id, tokens) in ctx {
         w.u32(id.0);
         w.str_slice(tokens);
     }
-    w.u32(tag.event_phrases.len() as u32);
+    w.len_prefix(tag.event_phrases.len(), "event phrases");
     for (id, tokens) in &tag.event_phrases {
         w.u32(id.0);
         w.str_slice(tokens);
@@ -93,7 +93,7 @@ pub(crate) fn write_resources(w: &mut Writer, res: &ServeResources) {
     w.usize(emb.dim());
     w.usize(emb.vocab_size());
     w.f32_slice(emb.raw_vectors());
-    w.u32(tag.vocab.len() as u32);
+    w.len_prefix(tag.vocab.len(), "vocab");
     for (_, s) in tag.vocab.iter() {
         w.str(s);
     }
@@ -102,12 +102,12 @@ pub(crate) fn write_resources(w: &mut Writer, res: &ServeResources) {
     w.f64(tag.config.lcs_min_fraction);
     w.f64(tag.config.min_concept_support);
 
-    w.u32(res.stories.len() as u32);
+    w.len_prefix(res.stories.len(), "stories");
     for s in &res.stories {
         w.u32(s.node.0);
         w.str_slice(&s.tokens);
         write_opt_str(w, &s.trigger);
-        w.u32(s.entities.len() as u32);
+        w.len_prefix(s.entities.len(), "entities");
         for e in &s.entities {
             w.u32(e.0);
         }

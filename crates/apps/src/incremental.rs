@@ -246,9 +246,8 @@ pub struct IngestReport {
     pub publish_secs: f64,
     /// WAL append wall clock, when durability is enabled.
     pub wal_secs: Option<f64>,
-    /// Checkpoint wall clock, when this ingest checkpointed (legacy
-    /// checkpoint-on-publish, or a durable ingest hitting its
-    /// `checkpoint_every` boundary).
+    /// Checkpoint wall clock, when this durable ingest hit its
+    /// `checkpoint_every` boundary.
     pub checkpoint_secs: Option<f64>,
     /// Batch items the schema screen rejected (empty unless
     /// [`IncrementalDriver::set_schema`] armed a schema). Rejected items
@@ -319,15 +318,14 @@ impl From<FoldError> for IngestError {
 pub struct IncrementalDriver {
     state: IncrementalState,
     service: Arc<OntologyService>,
-    checkpoint_path: Option<PathBuf>,
     durability: Option<Durability>,
     schema: Option<Arc<Schema>>,
 }
 
 /// Section name carrying the WAL watermark inside a durable checkpoint:
 /// the sequence number of the last WAL entry folded into the checkpointed
-/// state. Replay skips entries at or below it. Absent from legacy
-/// checkpoints (treated as watermark 0).
+/// state. Replay skips entries at or below it. Absent from a checkpoint
+/// written by [`IncrementalDriver::checkpoint`] (treated as watermark 0).
 const WAL_WATERMARK_SECTION: &str = "driver.wal";
 
 impl IncrementalDriver {
@@ -337,7 +335,7 @@ impl IncrementalDriver {
     ///
     /// `_keep_frames` is an unused shim (the service keeps no frame
     /// history): the next `benchmark` PR drops the argument at its call
-    /// sites, then it goes from here, `restore` and `restore_durable`.
+    /// sites, then it goes from here and `restore_durable`.
     pub fn bootstrap(
         mut state: IncrementalState,
         base: ServeResources,
@@ -353,7 +351,6 @@ impl IncrementalDriver {
         let driver = Self {
             state,
             service,
-            checkpoint_path: None,
             durability: None,
             schema: None,
         };
@@ -381,15 +378,13 @@ impl IncrementalDriver {
     /// **truncated** and an immediate baseline checkpoint of the current
     /// state is written — this call starts a fresh durability epoch. To
     /// *resume* a previous epoch, use
-    /// [`IncrementalDriver::restore_durable`] instead. Durable mode and
-    /// legacy [`IncrementalDriver::set_checkpoint_path`] are exclusive;
-    /// enabling durability clears the legacy path.
+    /// [`IncrementalDriver::restore_durable`] instead. With
+    /// `checkpoint_every: 1` every publish is checkpointed.
     pub fn enable_durability(&mut self, cfg: DurabilityConfig) -> Result<(), RestoreError> {
         std::fs::create_dir_all(&cfg.dir).map_err(RestoreError::Persist)?;
         let wal = Wal::create(&cfg.wal_path(), cfg.sync, 1)?;
         self.write_checkpoint(&cfg.checkpoint_path(), Some(0))
             .map_err(RestoreError::Persist)?;
-        self.checkpoint_path = None;
         self.durability = Some(Durability {
             cfg,
             wal,
@@ -401,12 +396,6 @@ impl IncrementalDriver {
     /// The enabled durability configuration, if any.
     pub fn durability(&self) -> Option<&DurabilityConfig> {
         self.durability.as_ref().map(|d| &d.cfg)
-    }
-
-    /// The WAL sequence number of the last acknowledged ingest (0 when
-    /// durability is off or nothing was logged yet).
-    pub fn wal_seq(&self) -> u64 {
-        self.durability.as_ref().map(|d| d.wal.last_seq()).unwrap_or(0)
     }
 
     /// Arms (or disarms, with `None`) schema screening on ingest: every
@@ -427,23 +416,13 @@ impl IncrementalDriver {
         self.schema.as_ref()
     }
 
-    /// Enables checkpoint-on-publish: after every successful
-    /// [`IncrementalDriver::ingest`] publish, the driver writes a full
-    /// checkpoint (folding state + serving frame) to `path`, atomically
-    /// replacing the previous one — so a crash at any point leaves either
-    /// the old or the new checkpoint, never a torn file. `None` disables.
-    pub fn set_checkpoint_path(&mut self, path: Option<PathBuf>) {
-        self.checkpoint_path = path;
-    }
-
     /// Folds one batch and publishes the resulting ontology version.
     ///
     /// In durable mode the batch is validated, appended to the WAL, and
     /// only then folded — so a crash at any instant after `append`
     /// returns leaves the batch recoverable, and a crash before leaves
     /// state and log both without it. Every `checkpoint_every`-th fold
-    /// checkpoints and rotates the log. With a legacy checkpoint path set
-    /// instead, the driver checkpoints after every publish.
+    /// checkpoints and rotates the log.
     pub fn ingest(&mut self, batch: DeltaBatch) -> Result<IngestReport, IngestError> {
         // Root span for the whole ingest; the stage spans below nest under
         // it, so a profiling run attributes screen/WAL/fold/publish/
@@ -508,37 +487,25 @@ impl IncrementalDriver {
             checkpoint_secs: None,
             rejections,
         };
-        if self.durability.is_some() {
-            let due = {
-                let d = self.durability.as_mut().expect("checked");
-                d.folds_since_checkpoint += 1;
-                d.folds_since_checkpoint >= d.cfg.checkpoint_every.max(1)
-            };
-            if due {
-                binio::crash_point("driver.pre-checkpoint");
-                let ckpt_span = giant_obs::span("ingest.checkpoint");
-                match self.checkpoint_and_rotate() {
-                    Ok(()) => out.checkpoint_secs = Some(ckpt_span.finish_secs()),
-                    // The publish stands and the WAL still holds the
-                    // entry (rotation only follows a *successful*
-                    // checkpoint), so nothing is lost — report it.
-                    Err(source) => {
-                        return Err(IngestError::Checkpoint {
-                            report: Box::new(out),
-                            source,
-                        })
-                    }
+        let due = self.durability.as_mut().is_some_and(|d| {
+            d.folds_since_checkpoint += 1;
+            d.folds_since_checkpoint >= d.cfg.checkpoint_every.max(1)
+        });
+        if due {
+            binio::crash_point("driver.pre-checkpoint");
+            let ckpt_span = giant_obs::span("ingest.checkpoint");
+            match self.checkpoint_and_rotate() {
+                Ok(()) => out.checkpoint_secs = Some(ckpt_span.finish_secs()),
+                // The publish stands and the WAL still holds the entry
+                // (rotation only follows a *successful* checkpoint), so
+                // nothing is lost — report it.
+                Err(source) => {
+                    return Err(IngestError::Checkpoint {
+                        report: Box::new(out),
+                        source,
+                    })
                 }
             }
-        } else if let Some(path) = self.checkpoint_path.clone() {
-            let ckpt_span = giant_obs::span("ingest.checkpoint");
-            if let Err(source) = self.checkpoint(&path) {
-                return Err(IngestError::Checkpoint {
-                    report: Box::new(out),
-                    source,
-                });
-            }
-            out.checkpoint_secs = Some(ckpt_span.finish_secs());
         }
         Ok(out)
     }
@@ -565,8 +532,9 @@ impl IncrementalDriver {
     /// state's `incr.*` sections (accumulated corpus, warm caches, live
     /// ontology) and the serving frame's `serve.*` sections (frozen
     /// snapshot + model resources + version). Serialises the state by
-    /// reference — no transient deep clone, so checkpoint-on-publish adds
-    /// write time but not peak memory to an ingest.
+    /// reference — no transient deep clone, so a checkpoint adds write
+    /// time but not peak memory to an ingest. Carries no WAL watermark:
+    /// [`IncrementalDriver::restore_durable`] from it replays the whole log.
     pub fn checkpoint(&self, path: &Path) -> std::io::Result<()> {
         self.write_checkpoint(path, None)
     }
@@ -584,35 +552,6 @@ impl IncrementalDriver {
             file.add_writer(WAL_WATERMARK_SECTION, w);
         }
         file.write_file(path)
-    }
-
-    /// Restore-on-start: rebuilds a driver from a
-    /// [`IncrementalDriver::checkpoint`] file. The host supplies the same
-    /// annotator and trained models it bootstrapped with (they are not
-    /// checkpointed — see `giant_incr::ckpt`); the serving frame resumes
-    /// at its checkpointed version and answers immediately, and the next
-    /// [`IncrementalDriver::ingest`] folds on warm caches.
-    ///
-    /// Checkpoint-on-publish is **re-armed to the same `path`** —
-    /// durability must survive the restart it exists for, so a restored
-    /// driver keeps persisting every ingest unless the host explicitly
-    /// disables it with [`IncrementalDriver::set_checkpoint_path`]`(None)`.
-    pub fn restore(
-        path: &Path,
-        annotator: Annotator,
-        models: GiantModels,
-        _keep_frames: usize, // unused shim, see `bootstrap`
-    ) -> Result<Self, FileError> {
-        let file = SectionFile::read_file(path)?;
-        let state = Checkpoint::from_sections(&file)?.restore(annotator, models);
-        let service = OntologyService::restore_sections(&file)?;
-        Ok(Self {
-            state,
-            service: Arc::new(service),
-            checkpoint_path: Some(path.to_path_buf()),
-            durability: None,
-            schema: None,
-        })
     }
 
     /// Crash recovery for a durable driver: loads `state.ckpt`, replays
@@ -648,7 +587,6 @@ impl IncrementalDriver {
         let mut driver = Self {
             state,
             service: Arc::new(service),
-            checkpoint_path: None,
             durability: Some(Durability {
                 cfg,
                 wal,

@@ -7,7 +7,8 @@
 //!   `OntologySnapshot::freeze`: what a restart pays without checkpoints;
 //! * **checkpoint write** — `OntologyService::checkpoint` (frozen
 //!   snapshot + full model resources) and the incremental state's
-//!   `Checkpoint::save` (corpus + warm caches + live ontology);
+//!   `Checkpoint::write_state_sections` into a `SectionFile` (corpus +
+//!   warm caches + live ontology);
 //! * **restore-to-first-response** — read + verify the service checkpoint,
 //!   reconstruct the frame (no re-freeze, no retraining) and answer one
 //!   request. Asserted **≥10× faster** than the full rebuild.
@@ -36,7 +37,7 @@
 use giant::adapter::{build_serving, GiantSetup, ModelTrainConfig};
 use giant::apps::serving::{OntologyService, ServeRequest};
 use giant::incr::{Checkpoint, IncrementalState};
-use giant::ontology::binio::{read_ontology, write_ontology, Reader, Writer};
+use giant::ontology::binio::{read_ontology, write_ontology, Reader, SectionFile, Writer};
 use giant::ontology::NodeKind;
 use giant_bench::{serving_golden_dump, Experiment, ExperimentConfig};
 use giant_core::GiantConfig;
@@ -286,11 +287,14 @@ fn main() {
     state.fold(stream.as_one_batch()).expect("bootstrap fold");
     let state_path = dir.join("state.ckpt");
     let t = Instant::now();
-    state.checkpoint().save(&state_path).expect("state checkpoint");
+    let mut file = SectionFile::new();
+    Checkpoint::write_state_sections(&state, &mut file);
+    file.write_file(&state_path).expect("state checkpoint");
     let state_write_secs = t.elapsed().as_secs_f64();
     let state_bytes = std::fs::metadata(&state_path).expect("stat").len();
     let t = Instant::now();
-    let restored_state = Checkpoint::load(&state_path)
+    let file = SectionFile::read_file(&state_path).expect("state read");
+    let restored_state = Checkpoint::from_sections(&file)
         .expect("state load")
         .restore(stream.annotator.clone(), models.clone());
     let state_restore_secs = t.elapsed().as_secs_f64();

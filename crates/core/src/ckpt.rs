@@ -21,7 +21,7 @@ use giant_ontology::EventRole;
 use giant_text::TfIdf;
 
 fn write_weighted_u32s<T: Copy, F: Fn(T) -> u32>(w: &mut Writer, xs: &[(T, f64)], id: F) {
-    w.u32(xs.len() as u32);
+    w.len_prefix(xs.len(), "weighted ids");
     for &(x, weight) in xs {
         w.u32(id(x));
         w.f64(weight);
@@ -56,7 +56,7 @@ fn write_plan_cache(w: &mut Writer, cache: &PlanCache) {
     w.usize(cache.reused);
     w.usize(cache.walked);
     let entries = cache.entries();
-    w.u32(entries.len() as u32);
+    w.len_prefix(entries.len(), "plan cache entries");
     for (seed, cluster, footprint) in entries {
         w.u32(seed);
         write_cluster(w, cluster);
@@ -88,7 +88,7 @@ fn write_candidate(w: &mut Writer, c: &ClusterCandidate) {
     w.f64(c.support);
     w.str_slice(&c.queries);
     w.str_slice(&c.top_titles);
-    w.u32(c.clicked.len() as u32);
+    w.len_prefix(c.clicked.len(), "clicked");
     for &d in &c.clicked {
         w.usize(d);
     }
@@ -133,7 +133,7 @@ fn write_mine_cache(
 ) {
     let mut seeds: Vec<u32> = mine.keys().copied().collect();
     seeds.sort_unstable();
-    w.u32(seeds.len() as u32);
+    w.len_prefix(seeds.len(), "mine cache seeds");
     for seed in seeds {
         let e = &mine[&seed];
         w.u32(seed);
@@ -183,7 +183,7 @@ fn read_mine_cache(
 /// codec in `giant-apps` reuses it.
 pub fn write_tfidf(w: &mut Writer, t: &TfIdf) {
     let df = t.doc_frequencies();
-    w.u32(df.len() as u32);
+    w.len_prefix(df.len(), "tfidf terms");
     for (term, count) in df {
         w.str(term);
         w.u32(count);
@@ -207,20 +207,20 @@ pub fn read_tfidf(r: &mut Reader<'_>) -> Result<TfIdf, BinError> {
 
 fn write_text_cache(w: &mut Writer, t: &TextCache) {
     write_tfidf(w, &t.tfidf);
-    w.u32(t.titles.len() as u32);
+    w.len_prefix(t.titles.len(), "titles");
     for title in &t.titles {
         w.str_slice(title);
     }
-    w.u32(t.sentences.len() as u32);
+    w.len_prefix(t.sentences.len(), "sentences");
     for doc in &t.sentences {
-        w.u32(doc.len() as u32);
+        w.len_prefix(doc.len(), "doc sentences");
         for sent in doc {
             w.str_slice(sent);
         }
     }
-    w.u32(t.entity_presence.len() as u32);
+    w.len_prefix(t.entity_presence.len(), "entity presence");
     for doc in &t.entity_presence {
-        w.u32(doc.len() as u32);
+        w.len_prefix(doc.len(), "doc entity rows");
         for row in doc {
             w.u32_slice(row);
         }
@@ -274,18 +274,18 @@ impl PipelineCaches {
         write_text_cache(w, &self.text);
         let mut role_keys: Vec<&String> = self.roles.keys().collect();
         role_keys.sort();
-        w.u32(role_keys.len() as u32);
+        w.len_prefix(role_keys.len(), "role keys");
         for key in role_keys {
             w.str(key);
             let roles = &self.roles[key];
-            w.u32(roles.len() as u32);
+            w.len_prefix(roles.len(), "roles");
             for role in roles {
                 w.u8(role.index() as u8);
             }
         }
         let mut lookup_keys: Vec<&String> = self.entity_lookup.map.keys().collect();
         lookup_keys.sort();
-        w.u32(lookup_keys.len() as u32);
+        w.len_prefix(lookup_keys.len(), "lookup keys");
         for key in lookup_keys {
             w.str(key);
             let (hit, checked) = self.entity_lookup.map[key];

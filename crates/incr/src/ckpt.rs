@@ -1,11 +1,18 @@
 //! Durable binary checkpoints of the long-lived [`IncrementalState`]:
-//! capture → save → (process dies) → load → restore → keep folding, with
-//! the restored state converging **byte-identically** to the never-
-//! restarted one over the same delta stream.
+//! write → (process dies) → read → restore → keep folding, with the
+//! restored state converging **byte-identically** to the never-restarted
+//! one over the same delta stream.
+//!
+//! One writer, one reader: [`Checkpoint::write_state_sections`] serialises
+//! a live state by reference (no deep clone of the corpus) into a
+//! [`SectionFile`], and [`Checkpoint::from_sections`] +
+//! [`Checkpoint::restore`] bring it back. The host owns the container and
+//! the file (the incremental driver files the serving frame and the WAL
+//! watermark alongside).
 //!
 //! ## What is (and is not) checkpointed
 //!
-//! A [`Checkpoint`] carries everything that *accumulates* across folds:
+//! The `incr.*` sections carry everything that *accumulates* across folds:
 //!
 //! * the accumulated corpus — click graph (edge lists and the historical
 //!   running total, bit-exact), documents, category tree, sessions,
@@ -23,7 +30,7 @@
 //! contract already depends on that) and owned by the host's model store —
 //! they are supplied again at [`Checkpoint::restore`] exactly as they were
 //! at [`IncrementalState::new`]. Supplying *different* models than the
-//! checkpoint was captured under voids the convergence guarantee the same
+//! checkpoint was written under voids the convergence guarantee the same
 //! way swapping models under a live state would.
 //!
 //! Framing, checksums and bit-exactness come from
@@ -35,16 +42,15 @@ use giant_core::pipeline::{CategoryRecord, DocRecord, PipelineInput};
 use giant_core::train::GiantModels;
 use giant_core::GiantConfig;
 use giant_graph::{ClickGraph, ClusterConfig, DocId, QueryId, WalkConfig};
-use giant_ontology::binio::{self, BinError, FileError, Reader, SectionFile, Writer};
+use giant_ontology::binio::{self, BinError, Reader, SectionFile, Writer};
 use giant_ontology::Ontology;
 use giant_text::{Annotator, NerTag};
-use std::path::Path;
 
-pub(crate) fn write_ner(w: &mut Writer, tag: NerTag) {
+fn write_ner(w: &mut Writer, tag: NerTag) {
     w.u8(tag.index() as u8);
 }
 
-pub(crate) fn read_ner(r: &mut Reader<'_>) -> Result<NerTag, BinError> {
+fn read_ner(r: &mut Reader<'_>) -> Result<NerTag, BinError> {
     let at = r.position();
     let i = r.u8()? as usize;
     NerTag::ALL.get(i).copied().ok_or_else(|| BinError {
@@ -128,22 +134,22 @@ fn read_config(r: &mut Reader<'_>) -> Result<GiantConfig, BinError> {
 }
 
 fn write_click_graph(w: &mut Writer, g: &ClickGraph) {
-    w.u32(g.n_queries() as u32);
+    w.len_prefix(g.n_queries(), "click graph queries");
     for q in g.query_ids() {
         w.str(g.query_text(q));
     }
     for q in g.query_ids() {
         let edges = g.docs_of(q);
-        w.u32(edges.len() as u32);
+        w.len_prefix(edges.len(), "query edges");
         for &(d, c) in edges {
             w.u32(d.0);
             w.f64(c);
         }
     }
-    w.u32(g.n_docs() as u32);
+    w.len_prefix(g.n_docs(), "click graph docs");
     for d in 0..g.n_docs() {
         let edges = g.queries_of(DocId(d as u32));
-        w.u32(edges.len() as u32);
+        w.len_prefix(edges.len(), "doc edges");
         for &(q, c) in edges {
             w.u32(q.0);
             w.f64(c);
@@ -192,7 +198,7 @@ fn read_click_graph(r: &mut Reader<'_>) -> Result<ClickGraph, BinError> {
 }
 
 pub(crate) fn write_docs(w: &mut Writer, docs: &[DocRecord]) {
-    w.u32(docs.len() as u32);
+    w.len_prefix(docs.len(), "docs");
     for d in docs {
         w.usize(d.id);
         w.str(&d.title);
@@ -218,7 +224,7 @@ pub(crate) fn read_docs(r: &mut Reader<'_>) -> Result<Vec<DocRecord>, BinError> 
 }
 
 fn write_categories(w: &mut Writer, cats: &[CategoryRecord]) {
-    w.u32(cats.len() as u32);
+    w.len_prefix(cats.len(), "categories");
     for c in cats {
         w.usize(c.id);
         w.str_slice(&c.tokens);
@@ -247,59 +253,48 @@ fn read_categories(r: &mut Reader<'_>) -> Result<Vec<CategoryRecord>, BinError> 
     Ok(cats)
 }
 
-/// The shared section writer behind [`Checkpoint::add_sections`] and
-/// [`Checkpoint::write_state_sections`]: one byte-format definition,
-/// whether serialising an owned image or a live state by reference.
-#[allow(clippy::too_many_arguments)]
-fn write_sections(
-    file: &mut SectionFile,
-    cfg: &GiantConfig,
-    folds: u64,
-    click_graph: &ClickGraph,
-    docs: &[DocRecord],
-    categories: &[CategoryRecord],
+/// Sessions then the entity dictionary: the one codec behind both the
+/// `incr.input` section and a WAL batch payload, so the two never drift
+/// apart byte-wise.
+pub(crate) fn write_sessions_entities(
+    w: &mut Writer,
     sessions: &[Vec<String>],
     entities: &[(Vec<String>, NerTag)],
-    caches: &PipelineCaches,
-    ontology: &Ontology,
 ) {
-    let mut w = Writer::new();
-    w.u32(CHECKPOINT_VERSION);
-    w.u32(0);
-    file.add_writer("incr.format", w);
-
-    let mut w = Writer::new();
-    write_config(&mut w, cfg);
-    w.u64(folds);
-    file.add_writer("incr.meta", w);
-
-    let mut w = Writer::new();
-    write_click_graph(&mut w, click_graph);
-    write_docs(&mut w, docs);
-    write_categories(&mut w, categories);
-    w.u32(sessions.len() as u32);
+    w.len_prefix(sessions.len(), "sessions");
     for s in sessions {
         w.str_slice(s);
     }
-    w.u32(entities.len() as u32);
+    w.len_prefix(entities.len(), "entities");
     for (tokens, ner) in entities {
         w.str_slice(tokens);
-        write_ner(&mut w, *ner);
+        write_ner(w, *ner);
     }
-    file.add_writer("incr.input", w);
-
-    let mut w = Writer::new();
-    caches.write_checkpoint(&mut w);
-    file.add_writer("incr.caches", w);
-
-    let mut w = Writer::new();
-    binio::write_ontology(ontology, &mut w);
-    file.add_writer("incr.ontology", w);
 }
 
-/// A captured, durable image of one [`IncrementalState`] (minus the
-/// trained models and annotator — see the [module docs](self) for the
-/// is/isn't-checkpointed contract).
+/// Sessions and the entity dictionary, as [`read_sessions_entities`]
+/// returns them.
+pub(crate) type SessionsEntities = (Vec<Vec<String>>, Vec<(Vec<String>, NerTag)>);
+
+/// Inverse of [`write_sessions_entities`].
+pub(crate) fn read_sessions_entities(r: &mut Reader<'_>) -> Result<SessionsEntities, BinError> {
+    let n = r.len(4, "sessions")?;
+    let mut sessions = Vec::with_capacity(n);
+    for _ in 0..n {
+        sessions.push(r.str_vec()?);
+    }
+    let n = r.len(5, "entities")?;
+    let mut entities = Vec::with_capacity(n);
+    for _ in 0..n {
+        entities.push((r.str_vec()?, read_ner(r)?));
+    }
+    Ok((sessions, entities))
+}
+
+/// The `incr.*` sections of one [`IncrementalState`], read back: the
+/// accumulated corpus, warm caches, live ontology and configuration —
+/// everything [`Checkpoint::restore`] needs besides the host's models and
+/// annotator (see the [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     cfg: GiantConfig,
@@ -314,34 +309,12 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Captures the state's accumulated input, warm caches, live ontology
-    /// and configuration. The state is untouched (capture clones).
-    pub fn capture(state: &IncrementalState) -> Self {
-        let input = state.input();
-        Self {
-            cfg: *state.cfg(),
-            folds: state.folds(),
-            click_graph: input.click_graph.clone(),
-            docs: input.docs.clone(),
-            categories: input.categories.clone(),
-            sessions: input.sessions.clone(),
-            entities: input.entities.clone(),
-            caches: state.caches().clone(),
-            ontology: state.ontology().clone(),
-        }
-    }
-
-    /// Completed folds at capture time.
+    /// Completed folds at checkpoint time.
     pub fn folds(&self) -> u64 {
         self.folds
     }
 
-    /// The live ontology at capture time.
-    pub fn ontology(&self) -> &Ontology {
-        &self.ontology
-    }
-
-    /// The configuration the captured folds ran under.
+    /// The configuration the checkpointed folds ran under.
     pub fn cfg(&self) -> &GiantConfig {
         &self.cfg
     }
@@ -367,42 +340,36 @@ impl Checkpoint {
         )
     }
 
-    /// Adds this checkpoint's sections (all `incr.*`) to a container —
-    /// composable with other sections (the incremental driver files the
-    /// serving frame alongside).
-    pub fn add_sections(&self, file: &mut SectionFile) {
-        write_sections(
-            file,
-            &self.cfg,
-            self.folds,
-            &self.click_graph,
-            &self.docs,
-            &self.categories,
-            &self.sessions,
-            &self.entities,
-            &self.caches,
-            &self.ontology,
-        );
-    }
-
-    /// [`Checkpoint::add_sections`] straight off a live state, **without**
-    /// the deep clone [`Checkpoint::capture`] makes — the path for
-    /// checkpoint-on-publish, where cloning the whole accumulated corpus
-    /// and caches per ingest would double transient memory for nothing.
+    /// Adds a live state's `incr.*` sections to a container, serialising
+    /// by reference — composable with other sections (the incremental
+    /// driver files the serving frame alongside). The one checkpoint
+    /// writer.
     pub fn write_state_sections(state: &IncrementalState, file: &mut SectionFile) {
+        let mut w = Writer::new();
+        w.u32(CHECKPOINT_VERSION);
+        w.u32(0);
+        file.add_writer("incr.format", w);
+
+        let mut w = Writer::new();
+        write_config(&mut w, state.cfg());
+        w.u64(state.folds());
+        file.add_writer("incr.meta", w);
+
         let input = state.input();
-        write_sections(
-            file,
-            state.cfg(),
-            state.folds(),
-            &input.click_graph,
-            &input.docs,
-            &input.categories,
-            &input.sessions,
-            &input.entities,
-            state.caches(),
-            state.ontology(),
-        );
+        let mut w = Writer::new();
+        write_click_graph(&mut w, &input.click_graph);
+        write_docs(&mut w, &input.docs);
+        write_categories(&mut w, &input.categories);
+        write_sessions_entities(&mut w, &input.sessions, &input.entities);
+        file.add_writer("incr.input", w);
+
+        let mut w = Writer::new();
+        state.caches().write_checkpoint(&mut w);
+        file.add_writer("incr.caches", w);
+
+        let mut w = Writer::new();
+        binio::write_ontology(state.ontology(), &mut w);
+        file.add_writer("incr.ontology", w);
     }
 
     /// Reads a checkpoint back out of a container's `incr.*` sections.
@@ -444,18 +411,7 @@ impl Checkpoint {
         let click_graph = read_click_graph(&mut r)?;
         let docs = read_docs(&mut r)?;
         let categories = read_categories(&mut r)?;
-        let n_sessions = r.len(4, "sessions")?;
-        let mut sessions = Vec::with_capacity(n_sessions);
-        for _ in 0..n_sessions {
-            sessions.push(r.str_vec()?);
-        }
-        let n_entities = r.len(5, "entities")?;
-        let mut entities = Vec::with_capacity(n_entities);
-        for _ in 0..n_entities {
-            let tokens = r.str_vec()?;
-            let ner = read_ner(&mut r)?;
-            entities.push((tokens, ner));
-        }
+        let (sessions, entities) = read_sessions_entities(&mut r)?;
         r.expect_exhausted()?;
 
         let mut r = file.section("incr.caches")?;
@@ -477,28 +433,6 @@ impl Checkpoint {
             caches,
             ontology,
         })
-    }
-
-    /// Saves the checkpoint to `path` (atomic write; magic, format
-    /// version and per-section checksums per `giant_ontology::binio`).
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        let mut file = SectionFile::new();
-        self.add_sections(&mut file);
-        file.write_file(path)
-    }
-
-    /// Loads and verifies a checkpoint from `path`.
-    pub fn load(path: &Path) -> Result<Self, FileError> {
-        let file = SectionFile::read_file(path)?;
-        Ok(Self::from_sections(&file)?)
-    }
-}
-
-impl IncrementalState {
-    /// Captures a durable [`Checkpoint`] of this state (see
-    /// [`Checkpoint::capture`]).
-    pub fn checkpoint(&self) -> Checkpoint {
-        Checkpoint::capture(self)
     }
 }
 
@@ -554,18 +488,18 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_save_load_restore_round_trips() {
+    fn checkpoint_write_read_restore_round_trips() {
         let state = tiny_state();
         let before = giant_ontology::io::dump(state.ontology());
-        let ck = state.checkpoint();
         let dir = std::env::temp_dir().join("giant-incr-ckpt-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("state.ckpt");
-        ck.save(&path).unwrap();
+        let mut file = SectionFile::new();
+        Checkpoint::write_state_sections(&state, &mut file);
+        file.write_file(&path).unwrap();
 
-        let loaded = Checkpoint::load(&path).unwrap();
+        let loaded = Checkpoint::from_sections(&SectionFile::read_file(&path).unwrap()).unwrap();
         assert_eq!(loaded.folds(), state.folds());
-        assert_eq!(giant_ontology::io::dump(loaded.ontology()), before);
         let restored = loaded.restore(Annotator::default(), untrained_models());
         assert_eq!(restored.folds(), state.folds());
         assert_eq!(restored.cache_sizes(), state.cache_sizes());
@@ -579,16 +513,18 @@ mod tests {
     }
 
     /// The one supported layout, hand-built against its frozen field
-    /// order rather than through `write_sections`, so the test pins the
-    /// bytes and not the writer: it must restore to the live state, the
-    /// writer must emit exactly these bytes, and every neighbouring layout
-    /// (sharded, another version, the pre-`incr.format` v1) must fail
-    /// typed.
+    /// order rather than through `write_state_sections`, so the test pins
+    /// the bytes and not the writer: it must restore to the live state,
+    /// the writer must emit exactly these bytes, and every neighbouring
+    /// layout (sharded, another version, the pre-`incr.format` v1) must
+    /// fail typed.
     #[test]
     fn frozen_layout_restores_and_every_other_layout_is_rejected() {
         let state = tiny_state();
         let before = giant_ontology::io::dump(state.ontology());
-        let ck = state.checkpoint();
+        let mut written = SectionFile::new();
+        Checkpoint::write_state_sections(&state, &mut written);
+        let ck = Checkpoint::from_sections(&written).expect("the writer's sections parse");
 
         let build = |format: Option<(u32, u32)>, stored_shards: usize| {
             let mut file = SectionFile::new();
@@ -649,8 +585,6 @@ mod tests {
         };
 
         let frozen = build(Some((2, 0)), 1);
-        let mut written = SectionFile::new();
-        ck.add_sections(&mut written);
         assert_eq!(written.to_bytes(), frozen.to_bytes(), "the writer moved the on-disk bytes");
 
         let reread = SectionFile::from_bytes(&frozen.to_bytes()).expect("container round trip");
@@ -678,7 +612,7 @@ mod tests {
     fn corrupted_checkpoint_fails_typed() {
         let state = tiny_state();
         let mut file = SectionFile::new();
-        state.checkpoint().add_sections(&mut file);
+        Checkpoint::write_state_sections(&state, &mut file);
         let mut bytes = file.to_bytes();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x42;

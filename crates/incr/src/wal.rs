@@ -10,7 +10,11 @@
 //!
 //! ## On-disk format
 //!
-//! Little-endian throughout, reusing the [`binio`] primitive encodings:
+//! Little-endian throughout. Each entry is one [`binio`] checksummed
+//! frame (the same frame the network wire uses, built by
+//! [`binio::encode_frame`] and parsed by [`binio::FrameHeader`]) with the
+//! sequence number as the frame id and no cap below the `u32` length
+//! field:
 //!
 //! ```text
 //! header   := magic "GIANTWAL" (8) | format version u32 (4)
@@ -44,9 +48,9 @@
 //! the machine. See DESIGN.md §10 for the guarantees table.
 
 use crate::batch::{ClickEvent, DeltaBatch};
-use crate::ckpt::{read_docs, read_ner, write_docs, write_ner};
+use crate::ckpt::{read_docs, read_sessions_entities, write_docs, write_sessions_entities};
 use giant_obs::Counter;
-use giant_ontology::binio::{self, frame_checksum, BinError, Reader, Writer};
+use giant_ontology::binio::{self, BinError, FrameHeader, Reader, Writer, FRAME_HEADER};
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
@@ -96,9 +100,16 @@ pub const WAL_MAGIC: [u8; 8] = *b"GIANTWAL";
 /// Bump on incompatible WAL layout changes.
 pub const WAL_FORMAT_VERSION: u32 = 1;
 
-/// Fixed byte sizes of the header and per-entry frame prefix.
+/// Byte size of the file header.
 const HEADER_LEN: u64 = 8 + 4;
-const FRAME_LEN: u64 = 4 + 8 + 8;
+
+/// The file header: magic, then format version.
+fn file_header() -> [u8; HEADER_LEN as usize] {
+    let mut header = [0u8; HEADER_LEN as usize];
+    header[..8].copy_from_slice(&WAL_MAGIC);
+    header[8..].copy_from_slice(&WAL_FORMAT_VERSION.to_le_bytes());
+    header
+}
 
 /// When `append` pushes bytes to stable storage.
 ///
@@ -247,15 +258,7 @@ pub(crate) fn write_batch(w: &mut Writer, b: &DeltaBatch) {
         w.usize(c.doc);
         w.f64(c.count);
     }
-    w.len_prefix(b.sessions.len(), "wal sessions");
-    for s in &b.sessions {
-        w.str_slice(s);
-    }
-    w.len_prefix(b.entities.len(), "wal entities");
-    for (tokens, ner) in &b.entities {
-        w.str_slice(tokens);
-        write_ner(w, *ner);
-    }
+    write_sessions_entities(w, &b.sessions, &b.entities);
 }
 
 /// Inverse of [`write_batch`].
@@ -270,16 +273,7 @@ pub(crate) fn read_batch(r: &mut Reader<'_>) -> Result<DeltaBatch, BinError> {
             count: r.f64()?,
         });
     }
-    let n = r.len(4, "wal sessions")?;
-    let mut sessions = Vec::with_capacity(n);
-    for _ in 0..n {
-        sessions.push(r.str_vec()?);
-    }
-    let n = r.len(5, "wal entities")?;
-    let mut entities = Vec::with_capacity(n);
-    for _ in 0..n {
-        entities.push((r.str_vec()?, read_ner(r)?));
-    }
+    let (sessions, entities) = read_sessions_entities(r)?;
     Ok(DeltaBatch {
         docs,
         clicks,
@@ -289,7 +283,7 @@ pub(crate) fn read_batch(r: &mut Reader<'_>) -> Result<DeltaBatch, BinError> {
 }
 
 /// The canonical WAL payload bytes of a batch — what [`Wal::append`]
-/// writes and what replay decodes. Public so tests and benches can
+/// frames and what replay decodes. Public so tests and benches can
 /// byte-compare batches (a [`DeltaBatch`] has no `PartialEq`; two batches
 /// are equal iff their encodings are). Fails with
 /// [`WalError::PayloadTooLarge`] when a collection in the batch exceeds
@@ -297,24 +291,8 @@ pub(crate) fn read_batch(r: &mut Reader<'_>) -> Result<DeltaBatch, BinError> {
 pub fn encode_batch(b: &DeltaBatch) -> Result<Vec<u8>, WalError> {
     let mut w = Writer::new();
     write_batch(&mut w, b);
-    let payload = w.into_bytes_checked().map_err(|e| WalError::PayloadTooLarge {
-        reason: e.message,
-    })?;
-    // The whole payload must also fit the frame's u32 length field.
-    checked_frame_len(payload.len())?;
-    Ok(payload)
-}
-
-/// The frame length prefix, checked: a payload over `u32::MAX` bytes is
-/// rejected with [`WalError::PayloadTooLarge`] instead of writing a
-/// wrapped length that a later open scans as corruption.
-fn checked_frame_len(len: usize) -> Result<u32, WalError> {
-    u32::try_from(len).map_err(|_| WalError::PayloadTooLarge {
-        reason: format!(
-            "frame payload of {len} bytes exceeds the u32 frame length (max {})",
-            u32::MAX
-        ),
-    })
+    w.into_bytes_checked()
+        .map_err(|e| WalError::PayloadTooLarge { reason: e.message })
 }
 
 /// Outcome of scanning a log image.
@@ -349,54 +327,41 @@ fn scan(bytes: &[u8]) -> Result<Scan, WalError> {
     let mut entries = Vec::new();
     let mut off = HEADER_LEN as usize;
     let mut expect_seq: std::option::Option<u64> = Option::None;
+    // The scan stops before the frame at `off`; `torn` marks the expected
+    // crash residue as opposed to corruption.
+    let stop = |entries, off: usize, reason: String, torn: bool| {
+        Ok(Scan {
+            entries,
+            valid_end: off as u64,
+            stopped: Some((off as u64, reason, torn)),
+        })
+    };
     while off < bytes.len() {
-        let remaining = bytes.len() - off;
-        if remaining < FRAME_LEN as usize {
-            return Ok(Scan {
-                entries,
-                valid_end: off as u64,
-                stopped: Some((off as u64, "torn frame prefix".into(), true)),
-            });
-        }
-        let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
-        let seq = u64::from_le_bytes(bytes[off + 4..off + 12].try_into().unwrap());
-        let checksum = u64::from_le_bytes(bytes[off + 12..off + 20].try_into().unwrap());
-        let body = off + FRAME_LEN as usize;
+        let Some(header) = FrameHeader::parse(&bytes[off..]) else {
+            return stop(entries, off, "torn frame prefix".into(), true);
+        };
+        let seq = header.id;
+        let len = header
+            .payload_len(u32::MAX)
+            .expect("u32::MAX caps no u32 length");
+        let body = off + FRAME_HEADER;
         if bytes.len() - body < len {
-            return Ok(Scan {
-                entries,
-                valid_end: off as u64,
-                stopped: Some((off as u64, format!("torn payload ({} of {len} bytes)", bytes.len() - body), true)),
-            });
+            let reason = format!("torn payload ({} of {len} bytes)", bytes.len() - body);
+            return stop(entries, off, reason, true);
         }
         let payload = &bytes[body..body + len];
-        if frame_checksum(seq, payload) != checksum {
-            return Ok(Scan {
-                entries,
-                valid_end: off as u64,
-                stopped: Some((off as u64, format!("checksum mismatch on seq {seq}"), false)),
-            });
+        if header.verify(payload).is_err() {
+            let reason = format!("checksum mismatch on seq {seq}");
+            return stop(entries, off, reason, false);
         }
-        if let Some(want) = expect_seq {
-            if seq != want {
-                return Ok(Scan {
-                    entries,
-                    valid_end: off as u64,
-                    stopped: Some((
-                        off as u64,
-                        format!("sequence gap: found {seq}, expected {want}"),
-                        false,
-                    )),
-                });
-            }
+        if let Some(want) = expect_seq.filter(|&want| want != seq) {
+            let reason = format!("sequence gap: found {seq}, expected {want}");
+            return stop(entries, off, reason, false);
         }
         // A frame no successor can follow was never written by `append`.
         let Some(next) = seq.checked_add(1) else {
-            return Ok(Scan {
-                entries,
-                valid_end: off as u64,
-                stopped: Some((off as u64, format!("sequence number {seq} has no successor"), false)),
-            });
+            let reason = format!("sequence number {seq} has no successor");
+            return stop(entries, off, reason, false);
         };
         expect_seq = Some(next);
         let mut r = Reader::new(payload);
@@ -442,8 +407,7 @@ impl Wal {
             .create(true)
             .truncate(true)
             .open(path)?;
-        file.write_all(&WAL_MAGIC)?;
-        file.write_all(&WAL_FORMAT_VERSION.to_le_bytes())?;
+        file.write_all(&file_header())?;
         file.sync_data()?;
         if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
             binio::fsync_dir(dir)?;
@@ -534,16 +498,15 @@ impl Wal {
     /// follows the [`SyncMode`] policy.
     pub fn append(&mut self, batch: &DeltaBatch) -> Result<u64, WalError> {
         let seq = self.next_seq;
-        // `encode_batch` rejects oversized payloads/collections with
+        // Oversized payloads/collections are rejected with
         // `PayloadTooLarge` BEFORE any byte reaches the file, so a failed
-        // append leaves the log exactly as it was.
-        let payload = encode_batch(batch)?;
-        let len = checked_frame_len(payload.len())?;
-        let mut frame = Vec::with_capacity(FRAME_LEN as usize + payload.len());
-        frame.extend_from_slice(&len.to_le_bytes());
-        frame.extend_from_slice(&seq.to_le_bytes());
-        frame.extend_from_slice(&frame_checksum(seq, &payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        // append leaves the log exactly as it was. The WAL caps a payload
+        // only by the frame's `u32` length field.
+        let frame = binio::encode_frame(seq, &encode_batch(batch)?, u32::MAX).map_err(|e| {
+            WalError::PayloadTooLarge {
+                reason: e.to_string(),
+            }
+        })?;
         let start = self.file.stream_position()?;
         // Refused before any byte is written, like an oversized payload: a
         // frame carrying the last sequence number could never be reopened.
@@ -616,29 +579,14 @@ impl Wal {
     }
 
     /// Truncates the log after a successful checkpoint: atomically
-    /// replaces the file with a fresh header-only log (temp + rename +
-    /// directory fsync, same recipe as `binio::SectionFile::write_file`).
-    /// Sequence numbers continue — rotation never reuses a seq.
+    /// replaces the file with a fresh header-only log through
+    /// [`binio::replace_file`] (temp file `<name>.tmp`, crash points
+    /// `wal.rotate.{pre,post}-rename`). Sequence numbers continue —
+    /// rotation never reuses a seq.
     pub fn rotate(&mut self) -> Result<(), WalError> {
-        let tmp = self.path.with_extension("wal.tmp");
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp)?;
-        file.write_all(&WAL_MAGIC)?;
-        file.write_all(&WAL_FORMAT_VERSION.to_le_bytes())?;
-        file.sync_data()?;
-        binio::crash_point("wal.rotate.pre-rename");
-        std::fs::rename(&tmp, &self.path)?;
-        binio::crash_point("wal.rotate.post-rename");
-        if let Some(dir) = self.path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            binio::fsync_dir(dir)?;
-        }
-        // The renamed temp handle IS the new log file; the old fd points
-        // at the unlinked inode and is dropped here.
-        self.file = file;
+        // The new file's handle IS the new log; the old fd points at the
+        // unlinked inode and is dropped here.
+        self.file = binio::replace_file(&self.path, ".tmp", &file_header(), "wal.rotate")?;
         self.pending = 0;
         self.last_frame_start = 0;
         wal_metrics().rotations.inc();
@@ -706,16 +654,12 @@ mod tests {
     fn oversized_frame_lengths_are_typed_errors_not_wraps() {
         // Size-faking: the checks are exercised at the length level —
         // a real >4 GiB payload is unbuildable in a unit test, but the
-        // guard sees only the length.
-        assert_eq!(checked_frame_len(0).unwrap(), 0);
-        assert_eq!(checked_frame_len(u32::MAX as usize).unwrap(), u32::MAX);
+        // guard sees only the length. The WAL's cap is the u32 field.
+        assert_eq!(binio::frame_len(0, u32::MAX), Ok(0));
+        assert_eq!(binio::frame_len(u32::MAX as usize, u32::MAX), Ok(u32::MAX));
         let over = u32::MAX as u64 + 1;
-        match checked_frame_len(over as usize) {
-            Err(WalError::PayloadTooLarge { reason }) => {
-                assert!(reason.contains(&over.to_string()), "reason names the length: {reason}");
-            }
-            other => panic!("expected PayloadTooLarge, got {other:?}"),
-        }
+        let e = binio::frame_len(over as usize, u32::MAX).unwrap_err();
+        assert!(e.to_string().contains(&over.to_string()), "reason names the length: {e}");
         // The element-count prefixes inside the payload fail the same way
         // (via the writer's sticky overflow -> encode_batch).
         let mut w = Writer::new();
@@ -820,7 +764,7 @@ mod tests {
         drop(wal);
         // Flip a payload byte inside the *middle* (complete) entry.
         let mut bytes = std::fs::read(&path).unwrap();
-        let mid_entry = (offsets[1] + FRAME_LEN) as usize + 3;
+        let mid_entry = offsets[1] as usize + FRAME_HEADER + 3;
         bytes[mid_entry] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
 
@@ -851,10 +795,7 @@ mod tests {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&WAL_MAGIC);
         bytes.extend_from_slice(&WAL_FORMAT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&u64::MAX.to_le_bytes());
-        bytes.extend_from_slice(&frame_checksum(u64::MAX, &payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
+        bytes.extend_from_slice(&binio::encode_frame(u64::MAX, &payload, u32::MAX).unwrap());
         std::fs::write(&path, &bytes).unwrap();
 
         match Wal::open(&path, SyncMode::Strict) {

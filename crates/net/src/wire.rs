@@ -3,9 +3,10 @@
 //!
 //! ## Frame layout
 //!
-//! Both directions use the WAL's frame discipline
-//! (`giant_incr::wal`), with the request id where the WAL carries its
-//! sequence number:
+//! Both directions use the one checksummed frame of
+//! `giant_ontology::binio` ([`binio::encode_frame`],
+//! [`binio::FrameHeader`]) — the WAL's entry frame — with the request id
+//! where the WAL carries its sequence number:
 //!
 //! ```text
 //! frame    := len u32 | id u64 | checksum u64 | payload (len bytes)
@@ -33,10 +34,9 @@ use giant_apps::serving::{ServeError, ServeRequest, ServeResponse};
 use giant_apps::storytree::{StoryEvent, StoryTree};
 use giant_apps::tagging::DocTags;
 use giant_obs::{HistogramSummary, MetricRow, MetricValue, MetricsSnapshot};
-use giant_ontology::binio::{frame_checksum, BinError, Reader, Writer};
+use giant_ontology::binio::{self, BinError, FrameError, FrameHeader, Reader, Writer};
 use giant_ontology::NodeId;
 use std::fmt;
-use std::io::Write as _;
 
 use crate::stats::{KindRow, StatsReport};
 
@@ -46,9 +46,6 @@ use crate::stats::{KindRow, StatsReport};
 /// ~10 KiB) while bounding what a malformed length prefix can make the
 /// server allocate.
 pub const MAX_PAYLOAD: u32 = 16 << 20;
-
-/// Fixed frame prefix size: `len u32 | id u64 | checksum u64`.
-pub const FRAME_HEADER: usize = 4 + 8 + 8;
 
 /// Number of [`ServeRequest`] kinds (the per-kind stats arrays index by
 /// [`kind_index`]).
@@ -124,6 +121,18 @@ impl From<std::io::Error> for NetError {
 impl From<BinError> for NetError {
     fn from(e: BinError) -> Self {
         NetError::Malformed(e)
+    }
+}
+
+impl From<FrameError> for NetError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::TooLarge { len, max } => NetError::TooLarge {
+                len,
+                max: u64::from(max),
+            },
+            FrameError::ChecksumMismatch { id } => NetError::ChecksumMismatch { id },
+        }
     }
 }
 
@@ -587,19 +596,7 @@ pub fn decode_reply(payload: &[u8]) -> Result<Reply, NetError> {
 /// Builds one complete frame (header + payload) for transmission,
 /// checking the payload length against [`MAX_PAYLOAD`].
 pub fn encode_frame(id: u64, payload: Vec<u8>) -> Result<Vec<u8>, NetError> {
-    let len = u32::try_from(payload.len())
-        .ok()
-        .filter(|&l| l <= MAX_PAYLOAD)
-        .ok_or(NetError::TooLarge {
-            len: payload.len() as u64,
-            max: u64::from(MAX_PAYLOAD),
-        })?;
-    let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-    frame.extend_from_slice(&len.to_le_bytes());
-    frame.extend_from_slice(&id.to_le_bytes());
-    frame.extend_from_slice(&frame_checksum(id, &payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    Ok(frame)
+    Ok(binio::encode_frame(id, &payload, MAX_PAYLOAD)?)
 }
 
 /// Encodes a request as a complete frame.
@@ -624,35 +621,16 @@ pub fn encode_reply_payload(reply: &Reply) -> Result<Vec<u8>, NetError> {
     Ok(w.into_bytes_checked()?)
 }
 
-/// Writes one frame to `stream`.
-pub fn write_frame(stream: &mut std::net::TcpStream, id: u64, payload: Vec<u8>) -> Result<(), NetError> {
-    let frame = encode_frame(id, payload)?;
-    stream.write_all(&frame)?;
-    Ok(())
-}
-
 /// Reads one frame from `stream`: `(id, payload)`, with the length cap
 /// enforced **before** the payload allocation and the checksum verified
 /// before returning. A peer that vanishes mid-frame surfaces as
 /// [`NetError::Io`] (`UnexpectedEof`).
 pub fn read_frame(stream: &mut impl std::io::Read) -> Result<(u64, Vec<u8>), NetError> {
-    let mut header = [0u8; FRAME_HEADER];
-    stream.read_exact(&mut header)?;
-    let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
-    let id = u64::from_le_bytes(header[4..12].try_into().expect("8 bytes"));
-    let checksum = u64::from_le_bytes(header[12..20].try_into().expect("8 bytes"));
-    if len > MAX_PAYLOAD {
-        return Err(NetError::TooLarge {
-            len: u64::from(len),
-            max: u64::from(MAX_PAYLOAD),
-        });
-    }
-    let mut payload = vec![0u8; len as usize];
+    let header = FrameHeader::read_from(stream)?;
+    let mut payload = vec![0u8; header.payload_len(MAX_PAYLOAD)?];
     stream.read_exact(&mut payload)?;
-    if frame_checksum(id, &payload) != checksum {
-        return Err(NetError::ChecksumMismatch { id });
-    }
-    Ok((id, payload))
+    header.verify(&payload)?;
+    Ok((header.id, payload))
 }
 
 #[cfg(test)]

@@ -33,6 +33,13 @@
 //! [`SectionFile`]) the higher layers (`giant-core` caches, the
 //! `giant-incr` `Checkpoint`, the serving frame in `giant-apps`) build
 //! their own sections on.
+//!
+//! It is also the one place each durability decision is made: the
+//! checksummed frame the WAL and the network wire share
+//! ([`encode_frame`], [`FrameHeader`]; each caller passes its own length
+//! cap and maps [`FrameError`] to its own typed error), and the one
+//! atomic-replace recipe ([`replace_file`]) behind
+//! [`SectionFile::write_file`] and the WAL's rotation.
 
 use crate::edge::EdgeKind;
 use crate::node::{AttentionNode, NodeId, NodeKind, Phrase};
@@ -116,9 +123,8 @@ impl From<BinError> for FileError {
 /// old and the new file. No-op on platforms where directories cannot be
 /// opened for syncing.
 ///
-/// Shared by [`SectionFile::write_file`] and the WAL rotation in
-/// `giant-incr` — every temp-file + rename in the durability surface goes
-/// through the same helper.
+/// Called by [`replace_file`] after its rename and by the WAL's in-place
+/// create in `giant-incr`.
 pub fn fsync_dir(dir: &Path) -> std::io::Result<()> {
     #[cfg(unix)]
     {
@@ -164,11 +170,172 @@ fn section_checksum(name: &str, payload: &[u8]) -> u64 {
     fnv1a64_extend(fnv1a64(name.as_bytes()), payload)
 }
 
-/// Checksum of one `id ‖ payload` frame — WAL entries (`id` = sequence
-/// number) and wire frames (`id` = request id): FNV-1a over the id's 8
+/// Atomically replaces `path` with `bytes`, the one recipe behind every
+/// file the durability surface swaps in whole: write a sibling temp file
+/// (the full file name plus `tmp_suffix`, so siblings sharing a stem never
+/// collide), `fsync` it, rename it over `path`, then `fsync` the
+/// directory. A crash at any instant leaves either the old or the new
+/// file, never a torn one, and never a rename persisted ahead of its data
+/// blocks. The crash points `<label>.pre-rename` and `<label>.post-rename`
+/// bracket the rename.
+///
+/// Returns the open handle of the new file, positioned after `bytes`
+/// (the WAL keeps appending through it).
+pub fn replace_file(
+    path: &Path,
+    tmp_suffix: &str,
+    bytes: &[u8],
+    label: &str,
+) -> std::io::Result<std::fs::File> {
+    use std::io::Write as _;
+    let mut tmp_name = path
+        .file_name()
+        .ok_or_else(|| {
+            std::io::Error::new(std::io::ErrorKind::InvalidInput, "path has no file name")
+        })?
+        .to_os_string();
+    tmp_name.push(tmp_suffix);
+    let tmp = path.with_file_name(tmp_name);
+    let mut file = std::fs::OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create(true)
+        .truncate(true)
+        .open(&tmp)?;
+    file.write_all(bytes)?;
+    // Without this, many filesystems may persist the rename before the
+    // data, losing BOTH the old and the new file on power failure.
+    file.sync_all()?;
+    crash_point(&format!("{label}.pre-rename"));
+    std::fs::rename(&tmp, path)?;
+    crash_point(&format!("{label}.post-rename"));
+    // The rename itself is only durable once the directory's own
+    // metadata reaches disk.
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        fsync_dir(dir)?;
+    }
+    Ok(file)
+}
+
+// ---------------------------------------------------------------------------
+// The checksummed frame: WAL entries and wire messages.
+
+/// Bytes of a frame header: `len u32 | id u64 | checksum u64`, followed
+/// by `len` payload bytes. The one frame layout of the WAL (`id` = sequence
+/// number) and the network wire (`id` = request id); each caller passes
+/// its own payload cap and maps [`FrameError`] to its own typed error.
+pub const FRAME_HEADER: usize = 4 + 8 + 8;
+
+/// Checksum of one `id ‖ payload` frame: FNV-1a over the id's 8
 /// little-endian bytes, continued over the payload.
-pub fn frame_checksum(id: u64, payload: &[u8]) -> u64 {
+fn frame_checksum(id: u64, payload: &[u8]) -> u64 {
     fnv1a64_extend(fnv1a64(&id.to_le_bytes()), payload)
+}
+
+/// A frame that breaks the caller's length cap or its own checksum.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameError {
+    /// A payload (announced or to be encoded) longer than the cap.
+    TooLarge {
+        /// The offending payload length.
+        len: u64,
+        /// The caller's cap.
+        max: u32,
+    },
+    /// The stored checksum does not cover `id ‖ payload`.
+    ChecksumMismatch {
+        /// The id field as read (untrustworthy, for diagnostics only).
+        id: u64,
+    },
+}
+
+impl fmt::Display for FrameError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FrameError::TooLarge { len, max } => {
+                write!(f, "frame payload of {len} bytes exceeds the {max}-byte cap")
+            }
+            FrameError::ChecksumMismatch { id } => {
+                write!(f, "frame checksum mismatch (id field read as {id})")
+            }
+        }
+    }
+}
+
+impl std::error::Error for FrameError {}
+
+/// The `len` field for a `len`-byte payload under a `max`-byte cap.
+pub fn frame_len(len: usize, max: u32) -> Result<u32, FrameError> {
+    u32::try_from(len)
+        .ok()
+        .filter(|&l| l <= max)
+        .ok_or(FrameError::TooLarge {
+            len: len as u64,
+            max,
+        })
+}
+
+/// Builds one complete frame (header + payload), refusing a payload over
+/// `max` bytes before anything is allocated.
+pub fn encode_frame(id: u64, payload: &[u8], max: u32) -> Result<Vec<u8>, FrameError> {
+    let len = frame_len(payload.len(), max)?;
+    let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(&id.to_le_bytes());
+    frame.extend_from_slice(&frame_checksum(id, payload).to_le_bytes());
+    frame.extend_from_slice(payload);
+    Ok(frame)
+}
+
+/// A parsed frame header, not yet checked against its payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameHeader {
+    len: u32,
+    /// The frame's id: WAL sequence number or wire request id.
+    pub id: u64,
+    checksum: u64,
+}
+
+impl FrameHeader {
+    /// Parses the header at the start of `bytes`; `None` when fewer than
+    /// [`FRAME_HEADER`] bytes are there (a torn frame).
+    pub fn parse(bytes: &[u8]) -> Option<Self> {
+        let h = bytes.get(..FRAME_HEADER)?;
+        let u64_at = |at: usize| u64::from_le_bytes(h[at..at + 8].try_into().expect("8 bytes"));
+        Some(Self {
+            len: u32::from_le_bytes(h[..4].try_into().expect("4 bytes")),
+            id: u64_at(4),
+            checksum: u64_at(12),
+        })
+    }
+
+    /// Reads exactly one header from `stream`.
+    pub fn read_from(stream: &mut impl std::io::Read) -> std::io::Result<Self> {
+        let mut h = [0u8; FRAME_HEADER];
+        stream.read_exact(&mut h)?;
+        Ok(Self::parse(&h).expect("a full header"))
+    }
+
+    /// The announced payload length, checked against the caller's cap
+    /// before anything is sized from it.
+    pub fn payload_len(&self, max: u32) -> Result<usize, FrameError> {
+        if self.len > max {
+            return Err(FrameError::TooLarge {
+                len: u64::from(self.len),
+                max,
+            });
+        }
+        Ok(self.len as usize)
+    }
+
+    /// Checks the stored checksum against `id ‖ payload`.
+    pub fn verify(&self, payload: &[u8]) -> Result<(), FrameError> {
+        if frame_checksum(self.id, payload) == self.checksum {
+            Ok(())
+        } else {
+            Err(FrameError::ChecksumMismatch { id: self.id })
+        }
+    }
 }
 
 /// Little-endian, length-prefixed binary writer.
@@ -579,12 +746,10 @@ impl SectionFile {
         })
     }
 
-    /// Writes the container to `path` atomically: temp file, `fsync`, then
-    /// rename (plus a best-effort directory sync), so a crash at any
-    /// instant leaves either the old or the new checkpoint — never a torn
-    /// one, and never a rename persisted ahead of its data blocks.
+    /// Writes the container to `path` atomically through [`replace_file`]
+    /// (temp file `<name>.tmp-ckpt`, crash points
+    /// `binio.write_file.{pre,post}-rename`).
     pub fn write_file(&self, path: &Path) -> std::io::Result<()> {
-        use std::io::Write as _;
         // Refuse to persist a container whose sections carry overflowed
         // length prefixes — the checksums would validate but the decoded
         // lengths would lie, surfacing much later as "corruption".
@@ -594,33 +759,7 @@ impl SectionFile {
                 format!("refusing to write checkpoint: {e}"),
             ));
         }
-        // Append to the full file name (never replace the extension):
-        // sibling checkpoints sharing a stem must not collide on one temp
-        // file.
-        let mut tmp_name = path
-            .file_name()
-            .ok_or_else(|| {
-                std::io::Error::new(std::io::ErrorKind::InvalidInput, "checkpoint path has no file name")
-            })?
-            .to_os_string();
-        tmp_name.push(".tmp-ckpt");
-        let tmp = path.with_file_name(tmp_name);
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&self.to_bytes())?;
-            // The durability half of atomicity: without this, many
-            // filesystems may persist the rename before the data, losing
-            // BOTH the old and the new checkpoint on power failure.
-            f.sync_all()?;
-        }
-        crash_point("binio.write_file.pre-rename");
-        std::fs::rename(&tmp, path)?;
-        crash_point("binio.write_file.post-rename");
-        // Persist the directory entry too: the rename itself is only
-        // durable once the directory's own metadata reaches disk.
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            fsync_dir(dir)?;
-        }
+        replace_file(path, ".tmp-ckpt", &self.to_bytes(), "binio.write_file")?;
         Ok(())
     }
 
@@ -671,7 +810,7 @@ fn write_node(w: &mut Writer, n: &AttentionNode) {
     }
     w.f64(n.support);
     w.str_slice(&n.phrase.tokens);
-    w.u32(n.aliases.len() as u32);
+    w.len_prefix(n.aliases.len(), "aliases");
     for a in &n.aliases {
         w.str_slice(&a.tokens);
     }
@@ -698,9 +837,9 @@ fn read_node(r: &mut Reader<'_>, id: u32) -> Result<AttentionNode, BinError> {
 }
 
 fn write_adjacency(w: &mut Writer, table: &[Vec<(NodeId, EdgeKind, f64)>]) {
-    w.u32(table.len() as u32);
+    w.len_prefix(table.len(), "adjacency");
     for row in table {
-        w.u32(row.len() as u32);
+        w.len_prefix(row.len(), "adjacency row");
         for &(v, k, weight) in row {
             w.u32(v.0);
             write_edge_kind(w, k);
@@ -745,7 +884,7 @@ fn read_adjacency(r: &mut Reader<'_>, n_nodes: usize) -> Result<AdjacencyTable, 
 /// weights).
 pub fn write_ontology(o: &Ontology, w: &mut Writer) {
     let nodes = o.nodes();
-    w.u32(nodes.len() as u32);
+    w.len_prefix(nodes.len(), "nodes");
     for n in nodes {
         write_node(w, n);
     }
@@ -772,7 +911,7 @@ pub fn read_ontology(r: &mut Reader<'_>) -> Result<Ontology, BinError> {
 
 fn write_csr(w: &mut Writer, c: &Csr) {
     w.u32_slice(&c.offsets);
-    w.u32(c.targets.len() as u32);
+    w.len_prefix(c.targets.len(), "targets");
     for t in &c.targets {
         w.u32(t.0);
     }
@@ -814,21 +953,21 @@ fn read_csr(r: &mut Reader<'_>, n_rows: usize) -> Result<Csr, BinError> {
 /// Serialises a frozen [`OntologySnapshot`] — every read-optimised
 /// structure included, so [`read_snapshot`] restores without re-freezing.
 pub fn write_snapshot(s: &OntologySnapshot, w: &mut Writer) {
-    w.u32(s.nodes.len() as u32);
+    w.len_prefix(s.nodes.len(), "nodes");
     for n in &s.nodes {
         write_node(w, n);
     }
     // Surface table, sorted for deterministic bytes.
     let mut surfaces: Vec<(&(NodeKind, String), &NodeId)> = s.by_surface.iter().collect();
     surfaces.sort_by(|a, b| (a.0 .0.index(), &a.0 .1).cmp(&(b.0 .0.index(), &b.0 .1)));
-    w.u32(surfaces.len() as u32);
+    w.len_prefix(surfaces.len(), "surfaces");
     for ((kind, surface), id) in surfaces {
         write_kind(w, *kind);
         w.str(surface);
         w.u32(id.0);
     }
     for ids in &s.by_kind {
-        w.u32(ids.len() as u32);
+        w.len_prefix(ids.len(), "ids");
         for id in ids {
             w.u32(id.0);
         }
@@ -837,11 +976,11 @@ pub fn write_snapshot(s: &OntologySnapshot, w: &mut Writer) {
     // the deterministic freeze-time sort).
     let mut keys: Vec<&String> = s.phrase_index.keys().collect();
     keys.sort();
-    w.u32(keys.len() as u32);
+    w.len_prefix(keys.len(), "keys");
     for key in keys {
         w.str(key);
         let bucket = &s.phrase_index[key];
-        w.u32(bucket.len() as u32);
+        w.len_prefix(bucket.len(), "bucket");
         for e in bucket {
             write_kind(w, e.kind);
             w.u32(e.node.0);
@@ -856,11 +995,11 @@ pub fn write_snapshot(s: &OntologySnapshot, w: &mut Writer) {
     write_csr(w, &s.ranked_correlates);
     let mut tokens: Vec<&String> = s.concept_tokens.keys().collect();
     tokens.sort();
-    w.u32(tokens.len() as u32);
+    w.len_prefix(tokens.len(), "tokens");
     for t in tokens {
         w.str(t);
         let postings = &s.concept_tokens[t];
-        w.u32(postings.len() as u32);
+        w.len_prefix(postings.len(), "postings");
         for id in postings {
             w.u32(id.0);
         }

@@ -4,6 +4,7 @@
 //! feed simulator.
 
 use giant::adapter::{build_serving, GiantSetup, ModelTrainConfig, ServingBuild};
+use giant::apps::incremental::DurabilityConfig;
 use giant::apps::recommend::{simulate_feed, FeedSimConfig, TagStrategy};
 use giant::apps::serving::{ServeRequest, ServeResponse};
 use giant::apps::storytree::retrieve_related;
@@ -224,13 +225,29 @@ fn service_versioning_over_pipeline_worlds() {
     assert_eq!(a, b);
 }
 
+/// A fresh, empty durability directory for one test.
+fn durable_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(name);
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+/// What a process restarted at this instant finds on disk: a copy of the
+/// durability directory's checkpoint and log.
+fn copy_durable_files(from: &DurabilityConfig, to: &DurabilityConfig) {
+    std::fs::create_dir_all(&to.dir).unwrap();
+    std::fs::copy(from.checkpoint_path(), to.checkpoint_path()).unwrap();
+    std::fs::copy(from.wal_path(), to.wal_path()).unwrap();
+}
+
 #[test]
 fn incremental_driver_checkpoints_on_publish_and_restores_mid_stream() {
-    // Durable-checkpoint loop: bootstrap + first ingest write checkpoints;
-    // a "restarted process" (a driver restored from the file) folds the
-    // remaining batch and must converge byte-identically with the driver
-    // that never restarted — and its restored service must answer
-    // byte-identically at the checkpointed version, immediately.
+    // Durable loop checkpointing every publish (`checkpoint_every: 1`):
+    // a "restarted process" (a driver restored from the files the first
+    // one left) folds the remaining batch and must converge
+    // byte-identically with the driver that never restarted — and its
+    // restored service must answer byte-identically at the checkpointed
+    // version, immediately.
     use giant::apps::incremental::IncrementalDriver;
     use giant::incr::IncrementalState;
 
@@ -248,19 +265,31 @@ fn incremental_driver_checkpoints_on_publish_and_restores_mid_stream() {
     let base = (*f.serving.service.resources()).clone();
     let (mut driver, _) =
         IncrementalDriver::bootstrap(state, base, batches[0].clone(), 2).unwrap();
-    let dir = std::env::temp_dir().join("giant-driver-ckpt-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("driver.ckpt");
-    driver.set_checkpoint_path(Some(path.clone()));
+    let cfg = DurabilityConfig {
+        checkpoint_every: 1,
+        ..DurabilityConfig::new(durable_dir("giant-driver-ckpt-test"))
+    };
+    driver.enable_durability(cfg.clone()).unwrap();
 
     let report = driver.ingest(batches[1].clone()).unwrap();
     assert_eq!(report.version, 2);
-    assert!(report.checkpoint_secs.is_some(), "checkpoint-on-publish must run");
-    assert!(path.exists(), "checkpoint file must exist after ingest");
+    assert!(report.checkpoint_secs.is_some(), "every publish must checkpoint");
+    assert!(cfg.checkpoint_path().exists(), "checkpoint file must exist after ingest");
 
-    // "Restart": restore from the file with the same annotator + models.
-    let mut restored =
-        IncrementalDriver::restore(&path, stream.annotator.clone(), models, 2).unwrap();
+    // "Restart": restore from the files with the same annotator + models.
+    let restart = DurabilityConfig {
+        dir: durable_dir("giant-driver-ckpt-test-restart"),
+        ..cfg.clone()
+    };
+    copy_durable_files(&cfg, &restart);
+    let (mut restored, restore) = IncrementalDriver::restore_durable(
+        restart.clone(),
+        stream.annotator.clone(),
+        models,
+        2,
+    )
+    .unwrap();
+    assert_eq!(restore.replayed, 0, "the checkpoint already holds every logged ingest");
     assert_eq!(restored.service().version(), 2, "restore resumes the version sequence");
     assert_eq!(restored.state().folds(), driver.state().folds());
     assert_eq!(
@@ -280,8 +309,8 @@ fn incremental_driver_checkpoints_on_publish_and_restores_mid_stream() {
     driver.ingest(batches[2].clone()).unwrap();
     let report = restored.ingest(batches[2].clone()).unwrap();
     assert_eq!(report.version, 3);
-    // Durability survives the restart it exists for: restore re-armed
-    // checkpoint-on-publish to the same path, so this ingest re-wrote it.
+    // Durability survives the restart it exists for: the restored driver
+    // keeps checkpointing every publish.
     assert!(
         report.checkpoint_secs.is_some(),
         "restored driver must keep checkpointing on publish"
@@ -295,7 +324,8 @@ fn incremental_driver_checkpoints_on_publish_and_restores_mid_stream() {
         format!("{:?}", driver.service().serve(&probe)),
         format!("{:?}", restored.service().serve(&probe)),
     );
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&cfg.dir).ok();
+    std::fs::remove_dir_all(&restart.dir).ok();
 }
 
 #[test]
@@ -303,9 +333,10 @@ fn failed_checkpoint_carries_the_report_and_does_not_lose_the_batch() {
     // Regression: a checkpoint failure fires *after* the fold has
     // published, so the error must carry the successful `IngestReport`
     // (the publish stands) rather than inviting the caller to retry and
-    // double-fold the batch.
+    // double-fold the batch. The WAL is not rotated, so the batch stays
+    // logged and a restore replays it.
     use giant::apps::incremental::{IncrementalDriver, IngestError};
-    use giant::incr::IncrementalState;
+    use giant::incr::{wal::encode_batch, IncrementalState, SyncMode, Wal};
 
     let f = fixture();
     let setup = GiantSetup::generate(WorldConfig::tiny());
@@ -315,20 +346,22 @@ fn failed_checkpoint_carries_the_report_and_does_not_lose_the_batch() {
     let state = IncrementalState::new(
         stream.categories.clone(),
         stream.annotator.clone(),
-        models,
+        models.clone(),
         GiantConfig::default(),
     );
     let base = (*f.serving.service.resources()).clone();
     let (mut driver, _) =
         IncrementalDriver::bootstrap(state, base, batches[0].clone(), 2).unwrap();
+    let cfg = DurabilityConfig {
+        checkpoint_every: 1,
+        ..DurabilityConfig::new(durable_dir("giant-driver-failed-ckpt-test"))
+    };
+    driver.enable_durability(cfg.clone()).unwrap();
 
-    // A checkpoint path whose parent directory does not exist: the write
-    // fails, the fold+publish do not.
-    let bad = std::env::temp_dir()
-        .join("giant-no-such-dir-for-ckpt")
-        .join("missing")
-        .join("driver.ckpt");
-    driver.set_checkpoint_path(Some(bad));
+    // A directory where the checkpoint's temp file goes: the write fails,
+    // the WAL append, fold and publish do not.
+    let obstacle = cfg.dir.join("state.ckpt.tmp-ckpt");
+    std::fs::create_dir(&obstacle).unwrap();
     let folds_before = driver.state().folds();
     let err = driver.ingest(batches[1].clone()).unwrap_err();
     let IngestError::Checkpoint { report, source: _ } = err else {
@@ -337,21 +370,20 @@ fn failed_checkpoint_carries_the_report_and_does_not_lose_the_batch() {
     // The report describes the ingest that *succeeded*: version 2 is
     // published and being served, the fold counter advanced exactly once.
     assert_eq!(report.version, 2);
+    assert!(report.wal_secs.is_some(), "the batch was logged before the fold");
     assert_eq!(driver.service().version(), 2, "the publish stands");
     assert_eq!(driver.state().folds(), folds_before + 1, "folded exactly once");
+    // The WAL was not rotated: the entry is still logged.
+    let (_, logged) = Wal::open(&cfg.wal_path(), SyncMode::None).unwrap();
+    assert_eq!(logged.len(), 1, "rotation follows only a successful checkpoint");
+    assert_eq!(logged[0].seq, 1);
+    assert_eq!(
+        encode_batch(&logged[0].batch).unwrap(),
+        encode_batch(&batches[1]).unwrap()
+    );
+    std::fs::remove_dir(&obstacle).unwrap();
 
-    // The batch is not lost and must not be retried: the *next* batch
-    // folds normally once the checkpoint path is fixed, and the stream
-    // converges as if the failure never happened.
-    let good = std::env::temp_dir().join("giant-ckpt-after-failure.ckpt");
-    driver.set_checkpoint_path(Some(good.clone()));
-    let report = driver.ingest(batches[2].clone()).unwrap();
-    assert_eq!(report.version, 3);
-    assert!(report.checkpoint_secs.is_some());
-    assert_eq!(driver.state().folds(), folds_before + 2);
-
-    // Byte-identity with a never-failing control driver over the same
-    // stream: the failed checkpoint neither lost nor re-applied batch 1.
+    // A control driver that never failed, over the same stream.
     let state2 = IncrementalState::new(
         stream.categories.clone(),
         stream.annotator.clone(),
@@ -362,13 +394,52 @@ fn failed_checkpoint_carries_the_report_and_does_not_lose_the_batch() {
     let (mut control, _) =
         IncrementalDriver::bootstrap(state2, base2, batches[0].clone(), 2).unwrap();
     control.ingest(batches[1].clone()).unwrap();
-    control.ingest(batches[2].clone()).unwrap();
+    let probe = ServeRequest::Conceptualize { query: "best phones".into() };
+
+    // A process restarted right after the failure: the checkpoint on disk
+    // predates the batch, the log holds it, and replay folds it once.
+    let restart = DurabilityConfig {
+        dir: durable_dir("giant-driver-failed-ckpt-test-restart"),
+        ..cfg.clone()
+    };
+    copy_durable_files(&cfg, &restart);
+    let (mut restored, restore) = IncrementalDriver::restore_durable(
+        restart.clone(),
+        stream.annotator.clone(),
+        models,
+        2,
+    )
+    .unwrap();
+    assert_eq!(restore.replayed, 1, "the un-checkpointed batch replays from the log");
+    assert_eq!(restored.service().version(), 2);
     assert_eq!(
-        giant::ontology::io::dump(driver.state().ontology()),
+        giant::ontology::io::dump(restored.state().ontology()),
         giant::ontology::io::dump(control.state().ontology()),
-        "checkpoint failure perturbed the fold stream"
+        "the replayed state diverged from the never-failing one"
     );
-    std::fs::remove_file(&good).ok();
+
+    // The batch is not lost and must not be retried: the *next* batch
+    // folds normally once the obstacle is gone, in the failed driver and
+    // in the restored one, and both converge with the control.
+    control.ingest(batches[2].clone()).unwrap();
+    for (what, d) in [("failed", &mut driver), ("restored", &mut restored)] {
+        let report = d.ingest(batches[2].clone()).unwrap();
+        assert_eq!(report.version, 3, "{what}");
+        assert!(report.checkpoint_secs.is_some(), "{what}");
+        assert_eq!(d.state().folds(), folds_before + 2, "{what}");
+        assert_eq!(
+            giant::ontology::io::dump(d.state().ontology()),
+            giant::ontology::io::dump(control.state().ontology()),
+            "{what}: checkpoint failure perturbed the fold stream"
+        );
+        assert_eq!(
+            format!("{:?}", d.service().serve(&probe)),
+            format!("{:?}", control.service().serve(&probe)),
+            "{what}"
+        );
+    }
+    std::fs::remove_dir_all(&cfg.dir).ok();
+    std::fs::remove_dir_all(&restart.dir).ok();
 }
 
 #[test]

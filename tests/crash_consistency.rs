@@ -412,3 +412,48 @@ proptest! {
         }
     }
 }
+
+/// Known answer for the one checksummed frame the WAL and the wire share:
+/// `len u32 | id u64 | FNV-1a(id_le ++ payload) u64 | payload`, pinned as
+/// literal bytes. The payload is the WAL encoding of a batch holding one
+/// session `["giant"]`, framed with id 1 — the first sequence number a
+/// fresh log assigns. A change of any byte in the shared primitive fails
+/// here on both sides at once.
+#[test]
+fn wal_and_wire_frames_match_the_known_answer() {
+    use giant::incr::{DeltaBatch, SyncMode, Wal};
+    use giant::net::wire::encode_frame;
+
+    #[rustfmt::skip]
+    const PAYLOAD: [u8; 29] = [
+        0, 0, 0, 0, // docs: 0
+        0, 0, 0, 0, // clicks: 0
+        1, 0, 0, 0, // sessions: 1
+        1, 0, 0, 0, // session 0: 1 query
+        5, 0, 0, 0, b'g', b'i', b'a', b'n', b't',
+        0, 0, 0, 0, // entities: 0
+    ];
+    #[rustfmt::skip]
+    const HEADER: [u8; 20] = [
+        29, 0, 0, 0,                                    // len
+        1, 0, 0, 0, 0, 0, 0, 0,                         // id
+        0x3a, 0x91, 0xa0, 0xbf, 0xaa, 0x8d, 0xce, 0xdc, // checksum 0xdcce8daabfa0913a
+    ];
+    let known: Vec<u8> = [&HEADER[..], &PAYLOAD[..]].concat();
+
+    let mut batch = DeltaBatch::new();
+    batch.sessions.push(vec!["giant".into()]);
+    assert_eq!(giant::incr::wal::encode_batch(&batch).unwrap(), PAYLOAD);
+
+    assert_eq!(encode_frame(1, PAYLOAD.to_vec()).unwrap(), known, "wire frame");
+
+    let dir = trial_dir("known-answer");
+    let path = dir.join("ingest.wal");
+    let mut wal = Wal::create(&path, SyncMode::Strict, 1).unwrap();
+    assert_eq!(wal.append(&batch).unwrap(), 1);
+    drop(wal);
+    let on_disk = std::fs::read(&path).unwrap();
+    assert_eq!(&on_disk[..8], b"GIANTWAL");
+    assert_eq!(&on_disk[12..], &known[..], "WAL entry after the 12-byte header");
+    std::fs::remove_dir_all(&dir).ok();
+}

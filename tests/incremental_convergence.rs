@@ -149,7 +149,7 @@ fn restored_dump(
     }
     // "Process restart": serialise → bytes → parse → restore.
     let mut file = SectionFile::new();
-    state.checkpoint().add_sections(&mut file);
+    Checkpoint::write_state_sections(&state, &mut file);
     drop(state);
     let reread = SectionFile::from_bytes(&file.to_bytes()).expect("container round trip");
     let mut state = Checkpoint::from_sections(&reread)
